@@ -170,14 +170,15 @@ void ClusterContext::put(void* target, const void* source, std::size_t bytes,
   tmc::MpipeEngine& engine = cluster_->mpipe(device_);
   // The eDMA streams the payload onto the wire; the iDMA on the remote
   // engine writes it into the (hash-for-home) shared segment. The put
-  // completes locally once the last byte is serialized + lands.
+  // completes locally once the last byte is serialized + lands. The
+  // delivery is recorded before the store, as in Context::transfer.
   local_->tile().clock().advance(
       local_->runtime().config().shmem_call_overhead_ps);
-  std::memcpy(remote, source, bytes);
   local_->tile().clock().advance(engine.one_way_ps(bytes));
   cluster_->runtime(device_of(global_pe))
       .note_delivery(local_pe_of(global_pe),
                      local_->tile().clock().now());
+  std::memcpy(remote, source, bytes);
 }
 
 void ClusterContext::get(void* target, const void* source, std::size_t bytes,

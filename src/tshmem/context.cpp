@@ -369,10 +369,12 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
     const MemSpace src_space =
         is_put ? space_of(local_cls) : space_of(remote_cls);
     charge_local_copy(bytes, dst_space, src_space, hints);
-    do_memcpy_visible(dst, src, bytes);
+    // Record the delivery before the store becomes visible, so a waiter
+    // that sees the store always merges this delivery time.
     if (is_put && pe != pe_) {
       rt_->note_delivery(pe, tile_->clock().now());
     }
+    do_memcpy_visible(dst, src, bytes);
     return;
   }
 
@@ -401,6 +403,8 @@ void Context::transfer(void* target, const void* source, std::size_t bytes,
     });
     // Wait: for a put with a *dynamic local source*, the local source is in
     // shared memory, so the remote can read it directly — handled above.
+    // The delivery time is known only after the interrupt round trip, so
+    // it is recorded after the store (docs/ROBUSTNESS.md, wait_until).
     if (is_put) rt_->note_delivery(pe, tile_->clock().now());
     return;
   }
@@ -523,8 +527,8 @@ void Context::transfer_nbi(void* target, const void* source,
   // descriptor's completion timestamp (the same host-eager/virtual-deferred
   // split every blocking path already relies on). The DMA engine bypasses
   // the issuing tile's caches, so no cache probe sees this stream.
-  do_memcpy_visible(dst, src, bytes);
   if (is_put && pe != pe_) rt_->note_delivery(pe, d.complete_ps);
+  do_memcpy_visible(dst, src, bytes);
   if (race_ != nullptr) {
     // The DMA pseudo-actor performs the transfer: unordered with this PE's
     // subsequent program until shmem_quiet joins the engine back.
@@ -868,11 +872,13 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
   tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kAtomic,
                         site, tile_->clock().now(), pe, bytes);
   if (cls == AddrClass::kDynamic || pe == pe_) {
+    if (pe != pe_) rt_->note_delivery(pe, tile_->clock().now());  // see put
     op(remote_addr(target, pe));
-    if (pe != pe_) rt_->note_delivery(pe, tile_->clock().now());
     return;
   }
-  // Static symmetric object on a remote PE: service via UDN interrupt.
+  // Static symmetric object on a remote PE: service via UDN interrupt. The
+  // delivery time is known only after the interrupt round trip, so it is
+  // recorded after the store (see docs/ROBUSTNESS.md on wait_until).
   void* addr = remote_addr(target, pe);
   if (met_) met_->interrupt_services->inc();
   rt_->interrupts().raise(*tile_, pe, [&](Tile& remote) {

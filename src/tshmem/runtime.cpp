@@ -1,7 +1,10 @@
 #include "tshmem/runtime.hpp"
 
+#include <sys/mman.h>
+
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <stdexcept>
@@ -113,7 +116,9 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
             (std::size_t{64} << 20)),
       udn_(device_),
       intc_(device_),
-      statics_(opts.private_per_pe) {
+      statics_(opts.private_per_pe),
+      pe_states_(static_cast<std::size_t>(cfg.tile_count())),
+      delivery_(static_cast<std::size_t>(cfg.tile_count())) {
   if (opts.heap_per_pe < (std::size_t{1} << 16)) {
     throw std::invalid_argument("heap_per_pe too small");
   }
@@ -196,6 +201,10 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
 
 Runtime::~Runtime() = default;
 
+void Runtime::ArenaUnmap::operator()(std::byte* p) const noexcept {
+  ::munmap(p, bytes);
+}
+
 Context* Runtime::current() noexcept { return g_current_context; }
 
 std::byte* Runtime::partition_base(int pe) const {
@@ -209,7 +218,7 @@ std::byte* Runtime::private_base(int pe) const {
   if (pe < 0 || pe >= npes_) {
     throw std::out_of_range("private_base: PE out of range");
   }
-  return private_arenas_[static_cast<std::size_t>(pe)]->data();
+  return private_arenas_[static_cast<std::size_t>(pe)].get();
 }
 
 Context& Runtime::context(int pe) const {
@@ -220,7 +229,7 @@ Context& Runtime::context(int pe) const {
 }
 
 void Runtime::note_delivery(int pe, ps_t completion) {
-  auto& slot = *delivery_[static_cast<std::size_t>(pe)];
+  auto& slot = delivery_[static_cast<std::size_t>(pe)];
   ps_t cur = slot.load(std::memory_order_acquire);
   while (cur < completion &&
          !slot.compare_exchange_weak(cur, completion,
@@ -230,7 +239,7 @@ void Runtime::note_delivery(int pe, ps_t completion) {
 }
 
 ps_t Runtime::last_delivery(int pe) const {
-  return delivery_[static_cast<std::size_t>(pe)]->load(
+  return delivery_[static_cast<std::size_t>(pe)].load(
       std::memory_order_acquire);
 }
 
@@ -303,24 +312,22 @@ tmc::SpinBarrier& Runtime::spin_barrier_for(const ActiveSet& as) {
 
 void Runtime::note_op(int pe, const char* op) noexcept {
   if (pe < 0 || static_cast<std::size_t>(pe) >= pe_states_.size()) return;
-  PeState& st = *pe_states_[static_cast<std::size_t>(pe)];
+  PeState& st = pe_states_[static_cast<std::size_t>(pe)];
   st.op.store(op, std::memory_order_relaxed);
   st.op_seq.fetch_add(1, std::memory_order_relaxed);
 }
 
 void Runtime::note_lock_delta(int pe, int delta) noexcept {
   if (pe < 0 || static_cast<std::size_t>(pe) >= pe_states_.size()) return;
-  pe_states_[static_cast<std::size_t>(pe)]->held_locks.fetch_add(
+  pe_states_[static_cast<std::size_t>(pe)].held_locks.fetch_add(
       delta, std::memory_order_relaxed);
 }
 
 std::string Runtime::watchdog_report() const {
   std::ostringstream os;
   os << "per-PE diagnostic snapshot (" << npes_ << " PE(s)):";
-  for (int pe = 0; pe < npes_ && static_cast<std::size_t>(pe) <
-                                     pe_states_.size();
-       ++pe) {
-    const PeState& st = *pe_states_[static_cast<std::size_t>(pe)];
+  for (int pe = 0; pe < npes_; ++pe) {
+    const PeState& st = pe_states_[static_cast<std::size_t>(pe)];
     const Tile& tile = device_.tile(pe);
     os << "\n  PE " << pe
        << ": op=" << st.op.load(std::memory_order_relaxed)
@@ -344,26 +351,34 @@ void Runtime::setup_job(int npes) {
       map_with_retry("tshmem_partitions",
                      static_cast<std::size_t>(npes) * opts_.heap_per_pe,
                      opts_.partition_homing, /*creator_tile=*/0));
-  private_arenas_.clear();
   contexts_.clear();
-  delivery_.clear();
+  // Fresh anonymous pages read as zero and are committed only on first
+  // touch; earlier arenas were re-zeroed by the teardown of their last job.
+  while (private_arenas_.size() < static_cast<std::size_t>(npes)) {
+    void* p = nullptr;
+    if (opts_.private_per_pe != 0) {
+      p = ::mmap(nullptr, opts_.private_per_pe, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+      if (p == MAP_FAILED) throw std::bad_alloc();
+    }
+    private_arenas_.emplace_back(static_cast<std::byte*>(p),
+                                 ArenaUnmap{opts_.private_per_pe});
+  }
+  for (PeState& st : pe_states_) {
+    st.op.store("idle", std::memory_order_relaxed);
+    st.op_seq.store(0, std::memory_order_relaxed);
+    st.held_locks.store(0, std::memory_order_relaxed);
+  }
+  for (std::atomic<ps_t>& d : delivery_) {
+    d.store(0, std::memory_order_relaxed);
+  }
   symmetry_slots_.assign(static_cast<std::size_t>(npes), 0);
-  for (int pe = 0; pe < npes; ++pe) {
-    private_arenas_.push_back(
-        std::make_unique<std::vector<std::byte>>(opts_.private_per_pe));
-    delivery_.push_back(std::make_unique<std::atomic<ps_t>>(0));
-  }
-  pe_states_.clear();
-  for (int pe = 0; pe < npes; ++pe) {
-    pe_states_.push_back(std::make_unique<PeState>());
-  }
   bounce_slots_.assign(static_cast<std::size_t>(npes), nullptr);
   bounce_slot_bytes_.assign(static_cast<std::size_t>(npes), 0);
   for (int pe = 0; pe < npes; ++pe) {
     contexts_.push_back(std::make_unique<Context>(
         *this, pe, device_.tile(pe), partition_base(pe), opts_.heap_per_pe,
-        private_arenas_[static_cast<std::size_t>(pe)]->data(),
-        opts_.private_per_pe));
+        private_base(pe), opts_.private_per_pe));
     if (fault_engine_ != nullptr && fault_engine_->heap_cap_bytes() != 0) {
       contexts_.back()->heap().set_alloc_cap(fault_engine_->heap_cap_bytes());
     }
@@ -402,8 +417,14 @@ void Runtime::teardown_job() {
     race_detector_.reset();
   }
   contexts_.clear();
-  private_arenas_.clear();
-  delivery_.clear();
+  // Only registered statics can have been written, so clearing the extent
+  // handed out so far restores the zero-initialised static storage the
+  // next job must see without committing untouched pages.
+  if (const std::size_t dirty = statics_.bytes_used(); dirty != 0) {
+    for (int pe = 0; pe < npes_; ++pe) {
+      std::memset(private_base(pe), 0, dirty);
+    }
+  }
   for (std::size_t pe = 0; pe < bounce_slots_.size(); ++pe) {
     if (bounce_slots_[pe] != nullptr) {
       cmem_.unmap("tshmem_bounce_pe" + std::to_string(pe));

@@ -184,7 +184,8 @@ class Runtime {
 
   /// Base of PE `pe`'s symmetric partition (valid during run()).
   [[nodiscard]] std::byte* partition_base(int pe) const;
-  /// Base of PE `pe`'s private (static symmetric) arena.
+  /// Base of PE `pe`'s private (static symmetric) arena (valid during
+  /// run(); the same address in every job, since arenas persist).
   [[nodiscard]] std::byte* private_base(int pe) const;
 
   [[nodiscard]] Context& context(int pe) const;
@@ -320,15 +321,24 @@ class Runtime {
   std::size_t racecheck_granule_ = 8;
   std::unique_ptr<analysis::RaceDetector> race_detector_;  // per-run
   std::vector<analysis::RaceReport> race_reports_;
-  std::vector<std::unique_ptr<PeState>> pe_states_;
   std::atomic<bool> running_{false};
 
   int npes_ = 0;
   std::byte* partitions_ = nullptr;  // npes_ * heap_per_pe, in cmem_
-  std::vector<std::unique_ptr<std::vector<std::byte>>> private_arenas_;
+  // Private (static symmetric) arenas live as long as the runtime and grow
+  // only when a job needs more PEs than any earlier one. Each is an
+  // anonymous mapping, so pages nobody touched are never committed;
+  // teardown_job re-zeroes only the extent the StaticRegistry handed out.
+  struct ArenaUnmap {
+    std::size_t bytes;
+    void operator()(std::byte* p) const noexcept;
+  };
+  std::vector<std::unique_ptr<std::byte, ArenaUnmap>> private_arenas_;
   std::vector<std::unique_ptr<Context>> contexts_;
 
-  std::vector<std::unique_ptr<std::atomic<ps_t>>> delivery_;
+  // Per-PE slots sized once for the device's tile count, reset at setup.
+  std::vector<PeState> pe_states_;
+  std::vector<std::atomic<ps_t>> delivery_;
   std::vector<std::uint64_t> symmetry_slots_;
 
   // Persistent per-PE bounce slots (see alloc_bounce): indexed by PE, each

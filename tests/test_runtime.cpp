@@ -4,6 +4,7 @@
 
 #include <atomic>
 #include <set>
+#include <vector>
 
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
@@ -246,6 +247,137 @@ TEST(Runtime, CurrentContextOnlyInsideRun) {
     EXPECT_EQ(Runtime::current(), &ctx);
   });
   EXPECT_EQ(Runtime::current(), nullptr);
+}
+
+// --- Job lifecycle: private arenas persist across run() -------------------
+
+// Reads `n` longs of a static object and reports whether all are zero.
+bool all_zero(const long* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) {
+    if (p[i] != 0) return false;
+  }
+  return true;
+}
+
+TEST(RuntimeLifecycle, DirtiedStaticReadsZeroInNextJob) {
+  constexpr std::size_t kN = 512;  // spans a page boundary
+  Runtime rt(tilesim::tile_gx36());
+  for (int job = 0; job < 3; ++job) {
+    rt.run(4, [&](Context& ctx) {
+      long* s = ctx.static_sym<long>("lifecycle_dirty", kN);
+      EXPECT_TRUE(all_zero(s, kN)) << "job " << job << " PE " << ctx.my_pe();
+      for (std::size_t i = 0; i < kN; ++i) {
+        s[i] = static_cast<long>(i) + 1 + ctx.my_pe();
+      }
+      ctx.barrier_all();
+    });
+  }
+}
+
+TEST(RuntimeLifecycle, IdleArenaReadsZeroWhenPeReturns) {
+  Runtime rt(tilesim::tile_gx36());
+  rt.run(4, [](Context& ctx) {
+    long* s = ctx.static_sym<long>("lifecycle_idle", 16);
+    for (int i = 0; i < 16; ++i) s[i] = -1 - ctx.my_pe();
+    ctx.barrier_all();
+  });
+  rt.run(2, [](Context& ctx) {
+    long* s = ctx.static_sym<long>("lifecycle_idle", 16);
+    EXPECT_TRUE(all_zero(s, 16)) << "PE " << ctx.my_pe();
+    ctx.barrier_all();
+  });
+  rt.run(4, [](Context& ctx) {
+    // PE 3 was dirtied in job 1 and sat out job 2.
+    long* s = ctx.static_sym<long>("lifecycle_idle", 16);
+    EXPECT_TRUE(all_zero(s, 16)) << "PE " << ctx.my_pe();
+    ctx.barrier_all();
+  });
+}
+
+TEST(RuntimeLifecycle, StaticFirstRegisteredInLaterJobReadsZero) {
+  Runtime rt(tilesim::tile_gx36());
+  rt.run(2, [](Context& ctx) {
+    long* early = ctx.static_sym<long>("lifecycle_early", 8);
+    for (int i = 0; i < 8; ++i) early[i] = 7;
+    ctx.barrier_all();
+  });
+  rt.run(4, [](Context& ctx) {
+    long* late = ctx.static_sym<long>("lifecycle_late", 1024);
+    EXPECT_TRUE(all_zero(late, 1024)) << "PE " << ctx.my_pe();
+    for (int i = 0; i < 1024; ++i) late[i] = 9;
+    ctx.barrier_all();
+  });
+  rt.run(4, [](Context& ctx) {
+    EXPECT_TRUE(all_zero(ctx.static_sym<long>("lifecycle_early", 8), 8));
+    EXPECT_TRUE(all_zero(ctx.static_sym<long>("lifecycle_late", 1024), 1024));
+    ctx.barrier_all();
+  });
+}
+
+TEST(RuntimeLifecycle, ArenaAndStaticAddressesStableAcrossJobs) {
+  constexpr int kPes = 4;
+  Runtime rt(tilesim::tile_gx36());
+  std::vector<std::vector<void*>> bases(3), statics(3);
+  for (int job = 0; job < 3; ++job) {
+    bases[job].assign(kPes, nullptr);
+    statics[job].assign(kPes, nullptr);
+    rt.run(kPes, [&](Context& ctx) {
+      const auto me = static_cast<std::size_t>(ctx.my_pe());
+      bases[job][me] = ctx.runtime().private_base(ctx.my_pe());
+      statics[job][me] = ctx.static_sym<long>("lifecycle_stable", 4);
+      ctx.barrier_all();
+    });
+  }
+  for (int job = 1; job < 3; ++job) {
+    EXPECT_EQ(bases[job], bases[0]);
+    EXPECT_EQ(statics[job], statics[0]);
+  }
+}
+
+// A waiter that observes a put's store must also observe its delivery
+// time: the waiter's clock after wait_until may never trail the virtual
+// time at which the store was delivered. Covers the three directly
+// addressable delivery paths — blocking put, DMA put_nbi, and a remote
+// atomic. Even PEs send to their odd neighbour; more PEs than host cores
+// make it likely that a sender is descheduled between the two steps.
+TEST(RuntimeLifecycle, WaitUntilMergesDeliveryOfObservedStore) {
+  constexpr int kPes = 8;
+  constexpr int kRounds = 1500;
+  Runtime rt(tilesim::tile_gx36());
+  // One slot per (round, receiver): a sender may already be in the next
+  // round when its receiver reads this one after the barrier.
+  std::vector<tilesim::ps_t> sent(kRounds * kPes, 0);
+  std::atomic<int> behind{0};
+  rt.run(kPes, [&](Context& ctx) {
+    const int me = ctx.my_pe();
+    long* flag = ctx.shmalloc_n<long>(1);
+    *flag = 0;
+    ctx.barrier_all();
+    for (long r = 1; r <= kRounds; ++r) {
+      const auto slot = static_cast<std::size_t>((r - 1) * kPes + (me | 1));
+      if (me % 2 == 0) {
+        long v = r;
+        switch (r % 3) {
+          case 0: ctx.p(flag, r, me + 1); break;
+          case 1: ctx.put_nbi(flag, &v, sizeof v, me + 1); break;
+          default: (void)ctx.swap(flag, r, me + 1); break;
+        }
+        // Only this PE delivers into its neighbour, so the slot now holds
+        // exactly this store's delivery time.
+        sent[slot] = ctx.runtime().last_delivery(me + 1);
+        ctx.quiet();
+      }
+      tilesim::ps_t woke = 0;
+      if (me % 2 == 1) {
+        ctx.wait_until(flag, tshmem::Cmp::kEq, r);
+        woke = ctx.clock().now();
+      }
+      ctx.barrier_all();
+      if (me % 2 == 1 && woke < sent[slot]) behind.fetch_add(1);
+    }
+    ctx.shfree(flag);
+  });
+  EXPECT_EQ(behind.load(), 0);
 }
 
 }  // namespace

@@ -3,8 +3,9 @@
 # suite, then exercise the telemetry path end to end — one metrics-enabled
 # bench run whose --metrics-json / --trace-json outputs are validated for
 # schema shape and non-emptiness — and finally rebuild the concurrency-
-# sensitive suites (NBI/DMA engine, tmc + tshmem barriers) under
-# ThreadSanitizer and run them race-clean.
+# sensitive suites (NBI/DMA engine, tmc + tshmem barriers, the runtime job
+# lifecycle, multi-device clusters) under ThreadSanitizer and run them
+# race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -97,18 +98,21 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events")
 EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
-  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync)"
+  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS=-fsanitize=thread \
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
-    --target test_nbi test_tmc_barrier test_barrier_sync
+    --target test_nbi test_tmc_barrier test_barrier_sync test_runtime \
+    test_cluster
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
   "$TSAN_DIR"/tests/test_barrier_sync
+  "$TSAN_DIR"/tests/test_runtime
+  "$TSAN_DIR"/tests/test_cluster
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
