@@ -3,6 +3,8 @@
 // capacity-transition property that ties it to the analytic MemModel.
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "sim/cache_sim.hpp"
 
 namespace {
@@ -76,10 +78,18 @@ TEST(CacheSim, Gx36HierarchyCapacities) {
 
 // The central property: steady-state residency transitions at the L1d, L2
 // and DDC capacities — the same breakpoints the Fig 3 curve encodes.
+//
+// ctest registers each case under gtest's printout of its parameter. These
+// cases were first registered under gtest's default byte dump of the struct,
+// padding bytes included, so the dump varied from build to build. Each case
+// prints a fixed name instead: the one it was first registered under.
 struct SweepCase {
   std::size_t working_set;
   HitLevel expected_majority;
+  const char* name;
 };
+
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 class CapacityTransitionTest : public ::testing::TestWithParam<SweepCase> {};
 
@@ -106,10 +116,14 @@ TEST_P(CapacityTransitionTest, SteadyStateResidency) {
 INSTANTIATE_TEST_SUITE_P(
     Gx36, CapacityTransitionTest,
     ::testing::Values(
-        SweepCase{16 * 1024, HitLevel::kL1},    // within 32 kB L1d
-        SweepCase{128 * 1024, HitLevel::kL2},   // within 256 kB L2
-        SweepCase{2 << 20, HitLevel::kDdc},     // within ~8.4 MB DDC
-        SweepCase{64 << 20, HitLevel::kDram})); // beyond everything
+        SweepCase{16 * 1024, HitLevel::kL1,  // within 32 kB L1d
+                  "16-byte object <00-40 00-00 00-00 00-00 00-DA 55-00 00-00 00-00>"},
+        SweepCase{128 * 1024, HitLevel::kL2,  // within 256 kB L2
+                  "16-byte object <00-00 02-00 00-00 00-00 01-00 00-00 00-00 00-00>"},
+        SweepCase{2 << 20, HitLevel::kDdc,  // within ~8.4 MB DDC
+                  "16-byte object <00-00 20-00 00-00 00-00 02-00 00-00 00-00 00-00>"},
+        SweepCase{64 << 20, HitLevel::kDram,  // beyond everything
+                  "16-byte object <00-00 00-04 00-00 00-00 03-00 00-00 00-00 00-00>"}));
 
 TEST(CacheSim, LocalHomingNeverUsesDdc) {
   // Paper §III-A: locally-homed pages cannot be distributed into other

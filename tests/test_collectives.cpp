@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <numeric>
+#include <ostream>
 #include <vector>
 
 #include "tshmem/context.hpp"
@@ -21,11 +22,18 @@ using tshmem::Runtime;
 
 // --- broadcast -----------------------------------------------------------------
 
+// ctest registers each case below under gtest's printout of its parameter.
+// These cases were first registered under gtest's default byte dump of the
+// struct, padding bytes included, so the dump varied from build to build.
+// Each case prints a fixed name instead: the one it was first registered under.
 struct BcastCase {
   BcastAlgo algo;
   int npes;
   int root_index;
+  const char* name;
 };
+
+void PrintTo(const BcastCase& c, std::ostream* os) { *os << c.name; }
 
 class BroadcastTest : public ::testing::TestWithParam<BcastCase> {};
 
@@ -54,16 +62,26 @@ TEST_P(BroadcastTest, DeliversRootDataToAllMembers) {
 
 INSTANTIATE_TEST_SUITE_P(
     AlgoSweep, BroadcastTest,
-    ::testing::Values(BcastCase{BcastAlgo::kPush, 2, 0},
-                      BcastCase{BcastAlgo::kPush, 7, 3},
-                      BcastCase{BcastAlgo::kPush, 16, 0},
-                      BcastCase{BcastAlgo::kPull, 2, 1},
-                      BcastCase{BcastAlgo::kPull, 9, 4},
-                      BcastCase{BcastAlgo::kPull, 16, 0},
-                      BcastCase{BcastAlgo::kBinomial, 2, 0},
-                      BcastCase{BcastAlgo::kBinomial, 8, 5},
-                      BcastCase{BcastAlgo::kBinomial, 13, 7},
-                      BcastCase{BcastAlgo::kBinomial, 16, 15}));
+    ::testing::Values(BcastCase{BcastAlgo::kPush, 2, 0,
+                                "12-byte object <00-00 00-00 02-00 00-00 00-00 00-00>"},
+                      BcastCase{BcastAlgo::kPush, 7, 3,
+                                "12-byte object <00-00 00-00 07-00 00-00 03-00 00-00>"},
+                      BcastCase{BcastAlgo::kPush, 16, 0,
+                                "12-byte object <00-00 04-00 10-00 00-00 00-00 00-00>"},
+                      BcastCase{BcastAlgo::kPull, 2, 1,
+                                "12-byte object <01-00 D0-EF 02-00 00-00 01-00 00-00>"},
+                      BcastCase{BcastAlgo::kPull, 9, 4,
+                                "12-byte object <01-00 00-00 09-00 00-00 04-00 00-00>"},
+                      BcastCase{BcastAlgo::kPull, 16, 0,
+                                "12-byte object <01-00 00-00 10-00 00-00 00-00 00-00>"},
+                      BcastCase{BcastAlgo::kBinomial, 2, 0,
+                                "12-byte object <02-00 00-00 02-00 00-00 00-00 00-00>"},
+                      BcastCase{BcastAlgo::kBinomial, 8, 5,
+                                "12-byte object <02-1E 09-00 08-00 00-00 05-00 00-00>"},
+                      BcastCase{BcastAlgo::kBinomial, 13, 7,
+                                "12-byte object <02-DA 48-00 0D-00 00-00 07-00 00-00>"},
+                      BcastCase{BcastAlgo::kBinomial, 16, 15,
+                                "12-byte object <02-00 C5-CA 10-00 00-00 0F-00 00-00>"}));
 
 TEST(Broadcast, SeparateTargetAndSourceBuffers) {
   Runtime rt(tilesim::tile_gx36());
@@ -160,10 +178,14 @@ TEST(Broadcast, PushSerializesOnRootInVirtualTime) {
 
 // --- fcollect / collect ---------------------------------------------------------
 
+// Named as BcastCase is; see there.
 struct CollectCase {
   CollectAlgo algo;
   int npes;
+  const char* name;
 };
+
+void PrintTo(const CollectCase& c, std::ostream* os) { *os << c.name; }
 
 class FcollectTest : public ::testing::TestWithParam<CollectCase> {};
 
@@ -191,13 +213,20 @@ TEST_P(FcollectTest, ConcatenatesFixedBlocksInPeOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(AlgoSweep, FcollectTest,
-                         ::testing::Values(CollectCase{CollectAlgo::kNaive, 1},
-                                           CollectCase{CollectAlgo::kNaive, 2},
-                                           CollectCase{CollectAlgo::kNaive, 6},
-                                           CollectCase{CollectAlgo::kNaive, 16},
-                                           CollectCase{CollectAlgo::kRing, 2},
-                                           CollectCase{CollectAlgo::kRing, 6},
-                                           CollectCase{CollectAlgo::kRing, 16}));
+                         ::testing::Values(CollectCase{CollectAlgo::kNaive, 1,
+                                                       "8-byte object <00-00 00-00 01-00 00-00>"},
+                                           CollectCase{CollectAlgo::kNaive, 2,
+                                                       "8-byte object <00-BA 6F-6F 02-00 00-00>"},
+                                           CollectCase{CollectAlgo::kNaive, 6,
+                                                       "8-byte object <00-00 00-00 06-00 00-00>"},
+                                           CollectCase{CollectAlgo::kNaive, 16,
+                                                       "8-byte object <00-A3 6F-6F 10-00 00-00>"},
+                                           CollectCase{CollectAlgo::kRing, 2,
+                                                       "8-byte object <01-6D 6F-6F 02-00 00-00>"},
+                                           CollectCase{CollectAlgo::kRing, 6,
+                                                       "8-byte object <01-AF F8-16 06-00 00-00>"},
+                                           CollectCase{CollectAlgo::kRing, 16,
+                                                       "8-byte object <01-F0 FB-A7 10-00 00-00>"}));
 
 TEST(Collect, VariableSizedContributions) {
   Runtime rt(tilesim::tile_gx36());
@@ -279,10 +308,14 @@ TEST(Fcollect, ActiveSetSubset) {
 
 // --- reductions -----------------------------------------------------------------
 
+// Named as BcastCase is; see there.
 struct ReduceCase {
   ReduceAlgo algo;
   int npes;
+  const char* name;
 };
+
+void PrintTo(const ReduceCase& c, std::ostream* os) { *os << c.name; }
 
 class ReduceTest : public ::testing::TestWithParam<ReduceCase> {};
 
@@ -309,14 +342,22 @@ TEST_P(ReduceTest, IntSumMatchesClosedForm) {
 
 INSTANTIATE_TEST_SUITE_P(
     AlgoSweep, ReduceTest,
-    ::testing::Values(ReduceCase{ReduceAlgo::kNaive, 1},
-                      ReduceCase{ReduceAlgo::kNaive, 2},
-                      ReduceCase{ReduceAlgo::kNaive, 7},
-                      ReduceCase{ReduceAlgo::kNaive, 16},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 2},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 5},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 8},
-                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 16}));
+    ::testing::Values(ReduceCase{ReduceAlgo::kNaive, 1,
+                                 "8-byte object <00-00 00-00 01-00 00-00>"},
+                      ReduceCase{ReduceAlgo::kNaive, 2,
+                                 "8-byte object <00-CA 6F-6F 02-00 00-00>"},
+                      ReduceCase{ReduceAlgo::kNaive, 7,
+                                 "8-byte object <00-00 00-00 07-00 00-00>"},
+                      ReduceCase{ReduceAlgo::kNaive, 16,
+                                 "8-byte object <00-B0 6F-6F 10-00 00-00>"},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 2,
+                                 "8-byte object <01-77 6F-6F 02-00 00-00>"},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 5,
+                                 "8-byte object <01-AF F8-16 05-00 00-00>"},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 8,
+                                 "8-byte object <01-F0 FB-A7 08-00 00-00>"},
+                      ReduceCase{ReduceAlgo::kRecursiveDoubling, 16,
+                                 "8-byte object <01-64 6F-6F 10-00 00-00>"}));
 
 TEST(Reduce, AllOperatorsOnInts) {
   Runtime rt(tilesim::tile_gx36());
