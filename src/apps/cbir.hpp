@@ -75,9 +75,15 @@ class FeatureCache {
  public:
   static FeatureCache& shared();
 
-  /// Returns the cached extraction for (image_seed, width, height),
-  /// computing it from `img` on the first call. The caller guarantees
-  /// `img` holds the pixels generate_image produces for `image_seed`.
+  /// Returns the cached extraction for (image_seed, width, height). Only
+  /// a miss needs pixels: this overload synthesizes them with
+  /// generate_image into a scratch buffer, so callers that want just the
+  /// feature never pay for an image a hit would discard.
+  const Extracted& seeded(std::uint64_t image_seed, int width, int height);
+
+  /// Same entry as the seed-only overload, for callers that already hold
+  /// the image: a miss extracts from `img`, which must be the pixels
+  /// generate_image produces for `image_seed`.
   const Extracted& seeded(std::span<const std::uint8_t> img, int width,
                           int height, std::uint64_t image_seed);
 
@@ -101,6 +107,11 @@ class FeatureCache {
       return static_cast<std::size_t>(h ^ (h >> 29));
     }
   };
+
+  /// The cached entry for `key` (counting a hit), or null on a miss.
+  const Extracted* find(const Key& key);
+  /// Extracts `img` outside the lock and inserts it under `key`.
+  const Extracted& insert(const Key& key, std::span<const std::uint8_t> img);
 
   mutable std::mutex mu_;
   std::unordered_map<Key, Extracted, KeyHash> map_;
@@ -148,8 +159,9 @@ struct Hit {
 /// with any collective).
 class ShardIndex {
  public:
-  /// Collective: synthesizes (or reuses cached features of) the slice and
-  /// stores each PE's block in its symmetric partition.
+  /// Collective: takes the slice's features from FeatureCache (synthesizing
+  /// only images it has not cached) and stores each PE's block in its
+  /// symmetric partition.
   ShardIndex(tshmem::Context& ctx, const Params& p, int first, int count);
 
   ShardIndex(const ShardIndex&) = delete;

@@ -110,16 +110,14 @@ ShardCalibration Service::calibrate_replica(int shard, int replica) {
     const auto b1 = ctx.clock().now();
     // Probe query features are client-side work: extracted outside the
     // timed region and not charged to the shard.
-    const std::size_t px = static_cast<std::size_t>(db.width) *
-                           static_cast<std::size_t>(db.height);
-    std::vector<std::uint8_t> img(px);
     std::vector<Feature> queries(static_cast<std::size_t>(probes));
     for (int i = 0; i < probes; ++i) {
       const int key = cal.first + (i * 911) % cal.count;
-      const std::uint64_t s = db.seed + static_cast<std::uint64_t>(key);
-      apps::cbir::generate_image(img, db.width, db.height, s);
       queries[static_cast<std::size_t>(i)] =
-          FeatureCache::shared().seeded(img, db.width, db.height, s).feature;
+          FeatureCache::shared()
+              .seeded(db.seed + static_cast<std::uint64_t>(key), db.width,
+                      db.height)
+              .feature;
     }
     std::vector<Hit> out(static_cast<std::size_t>(probes));
     ctx.barrier_all();
@@ -176,6 +174,12 @@ struct ReplicaState {
   ps_t queued_est_ps = 0;  ///< estimated service time of `queue`
   bool degraded = false;
   bool crashed = false;  ///< kShardCrash (forever) or kReplicaFlap (down)
+  // svc.shard.* handles (rule R005), resolved on first touch rather than
+  // up front: a replica that never batches must not gain zero-valued
+  // cells in the metrics export.
+  obs::Gauge* m_backlog = nullptr;
+  obs::Counter* m_batches = nullptr;
+  obs::Counter* m_queries = nullptr;
 };
 
 }  // namespace
@@ -248,13 +252,20 @@ ServiceReport Service::run() {
     return busy + s.queued_est_ps;
   };
 
+  auto set_backlog = [&](int rid, ps_t backlog) {
+    ReplicaState& s = st[static_cast<std::size_t>(rid)];
+    if (s.m_backlog == nullptr) {
+      s.m_backlog = obs::gauge_handle(metrics_, "svc.shard.backlog.ps", rid);
+    }
+    s.m_backlog->set(static_cast<std::int64_t>(backlog));
+  };
+
   auto update_health = [&](int rid, ps_t now) {
     ReplicaState& s = st[static_cast<std::size_t>(rid)];
     if (s.crashed) return;  // a dead replica has no backlog to watch
     ShardStats& stats = rep.shard_stats[static_cast<std::size_t>(rid)];
     const ps_t backlog = backlog_ps(rid, now);
-    obs::set_level(metrics_, "svc.shard.backlog.ps", rid,
-                   static_cast<std::int64_t>(backlog));
+    set_backlog(rid, backlog);
     if (!s.degraded && backlog > cfg_.unhealthy_backlog_ps) {
       s.degraded = true;
       router.set_replica_health(shard_of(rid), replica_of(rid),
@@ -466,7 +477,7 @@ ServiceReport Service::run() {
       std::vector<PendingQuery> open = s.batcher.close();
       strays.insert(strays.end(), open.begin(), open.end());
     }
-    obs::set_level(metrics_, "svc.shard.backlog.ps", rid, 0);
+    set_backlog(rid, 0);
     for (const PendingQuery& q : strays) requeue(q, now, rid);
   };
 
@@ -505,8 +516,12 @@ ServiceReport Service::run() {
     stats.busy_ps += service;
     ++stats.batches;
     stats.queries += s.running.size();
-    obs::add_count(metrics_, "svc.shard.batches", rid, 1);
-    obs::add_count(metrics_, "svc.shard.queries", rid, s.running.size());
+    if (s.m_batches == nullptr) {
+      s.m_batches = obs::counter_handle(metrics_, "svc.shard.batches", rid);
+      s.m_queries = obs::counter_handle(metrics_, "svc.shard.queries", rid);
+    }
+    s.m_batches->add(1);
+    s.m_queries->add(s.running.size());
     m_fill->record(s.running.size());
     obs::fr_record(fr, rid, tilesim::FlightKind::kSvcBatch, "svc_batch",
                    now, -1, s.running.size());

@@ -206,8 +206,10 @@ class Service {
   ServiceConfig cfg_;
   int shards_ = 0;  ///< cluster devices / replicas
   obs::MetricsRegistry metrics_;
-  std::unique_ptr<obs::FlightRecorder> flightrec_;
+  // Declared before flightrec_ so it is destroyed after it: the recorder
+  // flushes into its time-series tap (set_tap) as it dies.
   std::unique_ptr<obs::TimeSeries> timeseries_;
+  std::unique_ptr<obs::FlightRecorder> flightrec_;
   bool blackbox_written_ = false;
 };
 

@@ -5,13 +5,20 @@
 // real runtime, and end-to-end serve runs over real 2- and 4-device
 // clusters — including bit-identical replay per (seed, fault plan),
 // shed-not-hang under an injected shard stall, replica failover under
-// primary stalls and crashes, and deadline-aware admission.
+// primary stalls and crashes, and deadline-aware admission. The shared
+// FeatureCache's seed-only lookup and the service's recorder/time-series
+// teardown are covered here too, so the sanitizer stages see them.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
+#include <cstring>
+#include <latch>
 #include <set>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <thread>
 #include <vector>
 
 #include "apps/cbir.hpp"
@@ -387,6 +394,76 @@ TEST(CodelAdmission, DisabledTargetAdmitsEverything) {
 }
 
 // ===========================================================================
+// FeatureCache: seed-only lookups
+// ===========================================================================
+
+bool same_bits(const apps::cbir::Extracted& a,
+               const apps::cbir::Extracted& b) {
+  return a.ops == b.ops &&
+         std::memcmp(a.feature.data(), b.feature.data(), sizeof(Feature)) ==
+             0;
+}
+
+TEST(FeatureCache, SeedOnlyLookupMatchesExtractionFromPixels) {
+  FeatureCache cache;
+  std::vector<std::uint8_t> img(48 * 40);
+  for (const std::uint64_t seed : {1u, 77u, 0x7351u}) {
+    apps::cbir::generate_image(img, 48, 40, seed);
+    const apps::cbir::Extracted direct =
+        apps::cbir::extract_feature(img, 48, 40);
+    EXPECT_TRUE(same_bits(cache.seeded(seed, 48, 40), direct)) << seed;
+  }
+  EXPECT_EQ(cache.size(), 3u);
+  EXPECT_EQ(cache.hits(), 0u);
+}
+
+TEST(FeatureCache, BothOverloadsShareOneEntry) {
+  FeatureCache cache;
+  std::vector<std::uint8_t> img(32 * 32);
+  apps::cbir::generate_image(img, 32, 32, 9);
+  const apps::cbir::Extracted& a = cache.seeded(9, 32, 32);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 0u);
+  const apps::cbir::Extracted& b = cache.seeded(img, 32, 32, 9);
+  EXPECT_EQ(&a, &b);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  const apps::cbir::Extracted& c = cache.seeded(9, 32, 32);
+  EXPECT_EQ(&a, &c);
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), 2u);
+  // Another shape of the same seed is a different image.
+  (void)cache.seeded(9, 32, 16);
+  EXPECT_EQ(cache.size(), 2u);
+  EXPECT_EQ(cache.hits(), 2u);
+}
+
+TEST(FeatureCache, ConcurrentMissesOfOneSeedInsertOnce) {
+  FeatureCache cache;
+  constexpr int kThreads = 8;
+  std::vector<const apps::cbir::Extracted*> got(kThreads, nullptr);
+  std::vector<std::thread> threads;
+  std::latch start(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      start.arrive_and_wait();
+      got[static_cast<std::size_t>(t)] = &cache.seeded(4242, 64, 64);
+    });
+  }
+  for (std::thread& th : threads) th.join();
+  std::vector<std::uint8_t> img(64 * 64);
+  apps::cbir::generate_image(img, 64, 64, 4242);
+  const apps::cbir::Extracted direct = apps::cbir::extract_feature(img, 64, 64);
+  for (const apps::cbir::Extracted* e : got) {
+    ASSERT_NE(e, nullptr);
+    EXPECT_EQ(e, got[0]);  // every caller holds the one map entry
+    EXPECT_TRUE(same_bits(*e, direct));
+  }
+  EXPECT_EQ(cache.size(), 1u);
+  EXPECT_EQ(cache.hits(), static_cast<std::uint64_t>(kThreads - 1));
+}
+
+// ===========================================================================
 // ShardIndex on a real runtime
 // ===========================================================================
 
@@ -398,17 +475,13 @@ TEST(ShardIndex, SelfRetrievalAtDistanceZero) {
   tshmem::Runtime rt(tilesim::tile_gx36());
   rt.run(4, [&](tshmem::Context& ctx) {
     apps::cbir::ShardIndex index(ctx, p, 0, p.images);
-    std::vector<std::uint8_t> img(static_cast<std::size_t>(p.width) *
-                                  p.height);
     // Query with the exact feature of images 5 and 17: the index must
     // return them at distance 0 on every PE.
     std::vector<Feature> queries;
     for (const int k : {5, 17}) {
-      apps::cbir::generate_image(img, p.width, p.height,
-                                 p.seed + static_cast<std::uint64_t>(k));
       queries.push_back(FeatureCache::shared()
-                            .seeded(img, p.width, p.height,
-                                    p.seed + static_cast<std::uint64_t>(k))
+                            .seeded(p.seed + static_cast<std::uint64_t>(k),
+                                    p.width, p.height)
                             .feature);
     }
     std::vector<Hit> out(2);
@@ -470,6 +543,68 @@ TEST(Service, HealthyRunCompletesEverything) {
   EXPECT_GT(rep.calibration[0].per_query_ps, 0);
   EXPECT_EQ(rep.calibration[0].count, 32);
   EXPECT_EQ(rep.calibration[1].first, 32);
+}
+
+TEST(Service, CalibrationIsIdenticalWithColdAndWarmFeatureCache) {
+  tshmem::ClusterOptions opts;
+  opts.runtime.heap_per_pe = 8 << 20;
+  tshmem::Cluster cluster(tilesim::tile_gx36(), opts, 2);
+  svc::Service service(cluster, small_service_config());
+  for (int shard = 0; shard < 2; ++shard) {
+    FeatureCache::shared().clear();
+    const svc::ShardCalibration cold = service.calibrate_shard(shard);
+    const std::size_t entries = FeatureCache::shared().size();
+    EXPECT_EQ(entries, 32u);  // the shard's slice, probes included
+    const svc::ShardCalibration warm = service.calibrate_shard(shard);
+    EXPECT_EQ(FeatureCache::shared().size(), entries);
+    EXPECT_EQ(cold.build_ps, warm.build_ps);
+    EXPECT_EQ(cold.setup_ps, warm.setup_ps);
+    EXPECT_EQ(cold.per_query_ps, warm.per_query_ps);
+    EXPECT_GT(cold.per_query_ps, 0);
+  }
+}
+
+// A service with windowed telemetry owns a flight recorder that flushes
+// into its TimeSeries as it dies: the series must outlive the recorder.
+void run_windowed_service(const std::string& blackbox_path) {
+  tshmem::ClusterOptions opts;
+  opts.runtime.heap_per_pe = 8 << 20;
+  tshmem::Cluster cluster(tilesim::tile_gx36(), opts, 2);
+  ServiceConfig cfg = small_service_config();
+  cfg.timeseries_window_ps = 1'000'000'000;
+  cfg.blackbox_path = blackbox_path;
+  {
+    svc::Service service(cluster, cfg);
+    const ServiceReport rep = service.run();
+    ASSERT_NE(service.timeseries(), nullptr);
+    const obs::TimeSeriesReport ts = service.timeseries()->report();
+    auto total = [&](const std::string& name) -> std::uint64_t {
+      for (const obs::SeriesTimeline& s : ts.series) {
+        if (s.name != name) continue;
+        std::uint64_t windows = 0;
+        for (const obs::SeriesWindow& w : s.windows) windows += w.count;
+        EXPECT_EQ(windows, s.total_count) << name;
+        return s.total_count;
+      }
+      return 0;
+    };
+    EXPECT_EQ(rep.offered, 4000u);
+    EXPECT_EQ(total("svc.offered"), rep.offered);
+    EXPECT_EQ(total("svc.completed"), rep.completed);
+    EXPECT_EQ(total("svc.shed"), rep.shed);
+    EXPECT_EQ(total("svc.latency.ps"), rep.completed);
+  }  // ~Service: the recorder detaches its tap before the series dies
+}
+
+TEST(Service, WindowedTelemetryReconcilesAndTearsDown) {
+  run_windowed_service("");
+}
+
+TEST(Service, WindowedTelemetryWithBlackboxTearsDown) {
+  const std::string path =
+      testing::TempDir() + "svc_windowed_blackbox.json";
+  run_windowed_service(path);
+  std::remove(path.c_str());
 }
 
 TEST(Service, ReplayIsBitIdenticalPerSeedAndPlan) {

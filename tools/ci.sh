@@ -4,8 +4,8 @@
 # bench run whose --metrics-json / --trace-json outputs are validated for
 # schema shape and non-emptiness — and finally rebuild the concurrency-
 # sensitive suites (NBI/DMA engine, tmc + tshmem barriers, the runtime job
-# lifecycle, multi-device clusters) under ThreadSanitizer and run them
-# race-clean.
+# lifecycle, multi-device clusters, the serving subsystem and its shared
+# FeatureCache) under ThreadSanitizer and run them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -30,7 +30,8 @@
 # The serving smoke stage (docs/SERVING.md): a shortened ramped ext_serve
 # run must sustain non-zero QPS with nothing hung, and a shard-stall fault
 # plan must shed load (structured rejects) rather than hang, replaying
-# bit-identically.
+# bit-identically, and a --timeseries-json run must exit within a timeout
+# with its windows reconciled.
 #
 # The triage smoke closes the run (docs/OBSERVABILITY.md): ext_faults
 # --hang-demo strands PE 0 in shmem_wait_until under a short watchdog, the
@@ -98,7 +99,7 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events")
 EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
-  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster)"
+  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster, test_svc)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -106,31 +107,35 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_runtime \
-    test_cluster
+    test_cluster test_svc
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
   "$TSAN_DIR"/tests/test_barrier_sync
   "$TSAN_DIR"/tests/test_runtime
   "$TSAN_DIR"/tests/test_cluster
+  "$TSAN_DIR"/tests/test_svc
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
 
 if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
-  echo "== asan+ubsan (test_fault_injection, test_failure_injection, test_nbi)"
+  echo "== asan+ubsan (test_fault_injection, test_failure_injection, test_nbi, test_svc)"
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   cmake --build "$ASAN_DIR" -j \
-    --target test_fault_injection test_failure_injection test_nbi
+    --target test_fault_injection test_failure_injection test_nbi test_svc
   # ASan/UBSan abort on the first finding, so a clean gtest pass means a
   # clean run (including the error/exception paths the fault tests force).
   "$ASAN_DIR"/tests/test_fault_injection
   "$ASAN_DIR"/tests/test_failure_injection
   "$ASAN_DIR"/tests/test_nbi
+  # test_svc tears down services that own a flight recorder and a time
+  # series, where a wrong destruction order is a use-after-free.
+  "$ASAN_DIR"/tests/test_svc
 else
   echo "== asan+ubsan: skipped (TSHMEM_CI_ASAN=0)"
 fi
@@ -284,6 +289,11 @@ if ! diff -u "$tmp_dir/serve_fault_a.txt" "$tmp_dir/serve_fault_b.txt"; then
   echo "   serving replay DIVERGED"
   exit 1
 fi
+# Windowed telemetry: the run must exit (the service's teardown once hung
+# on a freed time series) and its windows must reconcile with the totals.
+timeout 120 "$BUILD_DIR"/bench/ext_serve $serve_args \
+  --timeseries-json "$tmp_dir/serve_ts.json" > "$tmp_dir/serve_ts.txt"
+grep -q "timeseries reconciliation: OK" "$tmp_dir/serve_ts.txt"
 python3 - "$tmp_dir/serve_ok.txt" "$tmp_dir/serve_fault_a.txt" <<'EOF'
 import re
 import sys
