@@ -13,8 +13,8 @@
 
 #include "obs/exporters.hpp"
 #include "obs/profiler.hpp"
+#include "obs/trace.hpp"
 #include "sim/config.hpp"
-#include "sim/trace.hpp"
 #include "tshmem/runtime.hpp"
 #include "util/cli.hpp"
 #include "util/table.hpp"
@@ -128,6 +128,11 @@ class Telemetry {
   void write();
 
  private:
+  /// Detaches the tracer from `device` and files its timeline as the next
+  /// track, plus the critical path's wait edges from `report` (if any).
+  void take_trace(tilesim::Device& device, const std::string& name,
+                  const obs::ProfileReport* report);
+
   std::string metrics_path_;
   std::string trace_path_;
   std::string profile_json_path_;
@@ -141,7 +146,7 @@ class Telemetry {
   std::vector<obs::TraceTrack> tracks_;
   std::vector<obs::TraceFlow> flows_;
   std::vector<std::pair<std::string, obs::ProfileReport>> reports_;
-  std::unique_ptr<tilesim::TraceRecorder> recorder_;
+  std::unique_ptr<obs::TraceRecorder> recorder_;
   std::unique_ptr<obs::Profiler> device_profiler_;
   tshmem::Runtime* attached_ = nullptr;
   tilesim::Device* attached_device_ = nullptr;

@@ -13,7 +13,7 @@
 #include <vector>
 
 #include "apps/fft.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 #include "tshmem/runtime.hpp"
 #include "util/cli.hpp"
 
@@ -32,15 +32,15 @@ int main(int argc, char** argv) {
   opts.heap_per_pe = 2 * n * n * sizeof(apps::cfloat) + (4 << 20);
   tshmem::Runtime rt(device, opts);
   const std::string trace_path = cli.get_string("trace", "");
-  tilesim::TraceRecorder tracer(rt.device().tile_count());
-  if (!trace_path.empty()) rt.device().attach_tracer(&tracer);
+  obs::TraceRecorder tracer(rt.device().tile_count());
+  if (!trace_path.empty()) rt.device().attach_probe(&tracer);
   apps::Fft2dResult result;
   rt.run(npes, [&](tshmem::Context& ctx) {
     auto r = apps::fft2d_run(ctx, n, seed);
     if (ctx.my_pe() == 0) result = std::move(r);
   });
   if (!trace_path.empty()) {
-    rt.device().attach_tracer(nullptr);
+    rt.device().detach_probe(&tracer);
     std::ofstream out(trace_path);
     tracer.dump_csv(out);
     std::printf("wrote %zu trace events to %s\n", tracer.event_count(),

@@ -114,7 +114,7 @@ bool RaceDetector::PairKey::operator<(const PairKey& o) const {
 RaceDetector::RaceDetector(int npes) : RaceDetector(npes, Options{}) {}
 
 RaceDetector::RaceDetector(int npes, Options opts)
-    : npes_(npes), opts_(opts) {
+    : Probe({tilesim::kRendezvousChannel}), npes_(npes), opts_(opts) {
   if (npes < 1) throw std::invalid_argument("RaceDetector: npes < 1");
   if (opts_.granule < 1 || opts_.granule > 64 ||
       (opts_.granule & (opts_.granule - 1)) != 0) {

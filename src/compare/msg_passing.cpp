@@ -4,6 +4,7 @@
 #include <stdexcept>
 
 #include "sim/mem_model.hpp"
+#include "sim/probe.hpp"
 
 namespace compare {
 
@@ -84,6 +85,10 @@ std::size_t MsgPassing::recv(Tile& self, int src, int tag,
   self.clock().advance(kCallOverheadPs);
   // Match (src, tag), stashing notifications from other senders that raced
   // ahead (e.g. reduction-tree children arriving out of program order).
+  // The raw pulls record no wait bracket (their count depends on host
+  // arrival order); the receive records one, from entry to the match.
+  tilesim::flight_event(*device_, self.id(), tilesim::FlightKind::kWaitBegin,
+                        "msg recv", self.clock().now());
   auto& stash = data_stash_[static_cast<std::size_t>(self.id())];
   for (;;) {
     tmc::UdnPacket pkt;
@@ -107,6 +112,8 @@ std::size_t MsgPassing::recv(Tile& self, int src, int tag,
       }
     }
     self.clock().advance_to(pkt.arrival_ps);
+    tilesim::flight_event(*device_, self.id(), tilesim::FlightKind::kWaitEnd,
+                          "msg recv", self.clock().now());
     const auto bytes =
         static_cast<std::size_t>(pkt.payload[0] & 0xffffffffffull);
     if (bytes > out.size()) {
@@ -184,7 +191,11 @@ void MsgPassing::barrier(Tile& self) {
     udn_.send1(self, (self.id() + span) % n, kBarrierQueue, token);
     // Wait for this round's token, stashing any that belong to later
     // rounds/epochs (earlier ones are protocol errors). Stashed tokens do
-    // not advance the clock — only the matching round's token gates.
+    // not advance the clock — only the matching round's token gates. One
+    // wait bracket per round, as in recv().
+    tilesim::flight_event(*device_, self.id(),
+                          tilesim::FlightKind::kWaitBegin, "msg barrier",
+                          self.clock().now());
     bool matched = false;
     auto& stash = barrier_stash_[me];
     for (std::size_t i = 0; i < stash.size(); ++i) {
@@ -204,6 +215,8 @@ void MsgPassing::barrier(Tile& self) {
         stash.emplace_back(pkt.payload[0], pkt.arrival_ps);
       }
     }
+    tilesim::flight_event(*device_, self.id(), tilesim::FlightKind::kWaitEnd,
+                          "msg barrier", self.clock().now());
   }
 }
 

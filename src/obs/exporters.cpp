@@ -103,8 +103,8 @@ double ps_to_trace_us(tilesim::ps_t ps) {
   return static_cast<double>(ps) / 1e6;
 }
 
-void write_trace_event(std::ostream& os, int pid,
-                       const tilesim::TraceEvent& e, bool first) {
+void write_trace_event(std::ostream& os, int pid, const TraceEvent& e,
+                       bool first) {
   char ts[64];
   char dur[64];
   std::snprintf(ts, sizeof(ts), "%.6f", ps_to_trace_us(e.begin_ps));
@@ -167,7 +167,7 @@ void write_chrome_trace_json(std::ostream& os,
 }
 
 void write_chrome_trace_json(std::ostream& os,
-                             const std::vector<tilesim::TraceEvent>& events,
+                             const std::vector<TraceEvent>& events,
                              const std::string& process_name) {
   std::vector<TraceTrack> tracks(1);
   tracks[0].pid = 0;

@@ -15,7 +15,7 @@
 #include <vector>
 
 #include "obs/metrics.hpp"
-#include "sim/trace.hpp"
+#include "obs/trace.hpp"
 
 namespace obs {
 
@@ -26,7 +26,7 @@ inline constexpr const char* kMetricsSchema = "tshmem.metrics.v1";
 struct TraceTrack {
   int pid = 0;
   std::string process_name;
-  std::vector<tilesim::TraceEvent> events;
+  std::vector<TraceEvent> events;
 };
 
 /// Writes `{"schema": ..., "runs": [snapshot, ...]}`. Counters, gauges and
@@ -64,7 +64,7 @@ void write_chrome_trace_json(std::ostream& os,
 
 /// Single-device convenience overload (pid 0).
 void write_chrome_trace_json(std::ostream& os,
-                             const std::vector<tilesim::TraceEvent>& events,
+                             const std::vector<TraceEvent>& events,
                              const std::string& process_name = "device");
 
 /// JSON string escaping per RFC 8259 (shared with the exporters; exposed

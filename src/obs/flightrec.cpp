@@ -29,7 +29,7 @@ const std::string& event_series_name(tilesim::FlightKind kind) {
 }  // namespace
 
 FlightRecorder::FlightRecorder(int npes, std::size_t capacity)
-    : npes_(npes), capacity_(capacity) {
+    : Probe({tilesim::kFlightChannel}), npes_(npes), capacity_(capacity) {
   if (npes < 1) throw std::invalid_argument("FlightRecorder: npes < 1");
   if (capacity < 1) {
     throw std::invalid_argument("FlightRecorder: capacity < 1");
@@ -81,15 +81,16 @@ void FlightRecorder::flush_tap() {
   for (const std::unique_ptr<PeRing>& r : rings_) flush_cell(*r);
 }
 
-void FlightRecorder::on_event(int tile, tilesim::FlightKind kind,
-                              const char* site, tilesim::ps_t vt, int peer,
-                              std::uint64_t bytes, int errc) {
+void FlightRecorder::on_flight_event(int tile, tilesim::FlightKind kind,
+                                     const char* site, tilesim::ps_t vt,
+                                     int peer, std::uint64_t bytes,
+                                     int errc) {
   record_event(tile, kind, site, vt, peer, bytes, errc);
 }
 
 void FlightRecorder::on_clock_reset() {
   if (device_ == nullptr) return;
-  // Single-threaded safe point (the FlightSink contract): every tile's
+  // Single-threaded safe point (the Probe contract): every tile's
   // clock is final, so the finished epoch's extent is their max.
   tilesim::ps_t extent = 0;
   for (int i = 0; i < device_->tile_count(); ++i) {

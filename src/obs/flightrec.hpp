@@ -1,9 +1,9 @@
 // Per-PE flight recorder: fixed-capacity ring buffers of compact event
 // records, plus the tshmem.blackbox.v1 post-mortem dump (ISSUE 9 tentpole).
 //
-// The recorder is the only implementation of tilesim::FlightSink
-// (sim/flight_hook.hpp). Each PE owns a ring of `capacity` FrEvent records;
-// recording overwrites the oldest. Because every event is reported from the
+// The recorder is a tilesim::Probe (sim/probe.hpp) that keeps the flight
+// events. Each PE owns a ring of `capacity` FrEvent records; recording
+// overwrites the oldest. Because every event is reported from the
 // owning PE's thread in program order with that PE's own virtual time, ring
 // contents are deterministic across host schedules for deterministic
 // protocols — the property the blackbox dump relies on to be a faithful
@@ -29,7 +29,7 @@
 #include <string>
 #include <vector>
 
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace obs {
 
@@ -47,7 +47,7 @@ struct FrEvent {
   std::int32_t errc = 0;
 };
 
-class FlightRecorder final : public tilesim::FlightSink {
+class FlightRecorder final : public tilesim::Probe {
  public:
   static constexpr std::size_t kDefaultCapacity = 256;
 
@@ -65,10 +65,10 @@ class FlightRecorder final : public tilesim::FlightSink {
   /// Flushes and detaches the tap (equivalent to set_tap(nullptr)).
   ~FlightRecorder() override;
 
-  // tilesim::FlightSink
-  void on_event(int tile, tilesim::FlightKind kind, const char* site,
-                tilesim::ps_t vt, int peer, std::uint64_t bytes,
-                int errc) override;
+  // tilesim::Probe
+  void on_flight_event(int tile, tilesim::FlightKind kind, const char* site,
+                       tilesim::ps_t vt, int peer, std::uint64_t bytes,
+                       int errc) override;
   void on_clock_reset() override;
 
   /// Raw mutator (lint rule R006): records one event with an epoch-local
@@ -102,7 +102,7 @@ class FlightRecorder final : public tilesim::FlightSink {
   [[nodiscard]] std::vector<FrEvent> merged() const;
 
  private:
-  // Single-writer ring: the FlightSink contract guarantees every event for
+  // Single-writer ring: the Probe contract guarantees every event for
   // one PE is reported from that PE's own thread, so the write path needs
   // no lock — slot stores are published by a release store of next_seq,
   // and a concurrent snapshot drops any prefix the writer may have

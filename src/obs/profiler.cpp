@@ -27,7 +27,8 @@ constexpr std::size_t kMaxPathSegments = 512;
 
 }  // namespace
 
-Profiler::Profiler(const tilesim::Device& device) : device_(&device) {
+Profiler::Profiler(const tilesim::Device& device)
+    : Probe({tilesim::kSpanChannel}), device_(&device) {
   const int n = device.tile_count();
   pes_.reserve(static_cast<std::size_t>(n));
   for (int i = 0; i < n; ++i) {

@@ -1,6 +1,6 @@
 // Virtual-time critical-path profiler (ISSUE 7 tentpole).
 //
-// The only implementation of tilesim::ProfileSink. Records per-PE span
+// A tilesim::Probe (sim/probe.hpp) that records per-PE span
 // stacks (compute / UDN wait / DMA / barrier / collective / lock / guarded
 // wait) plus wait-for edges — "PE d's clock jumped from A to B waiting on a
 // timestamp produced by PE s" — and computes the critical path of a run:
@@ -39,7 +39,7 @@
 #include <vector>
 
 #include "obs/exporters.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace obs {
 
@@ -109,11 +109,11 @@ struct ProfileReport {
   std::map<std::string, ps_t> folded;
 };
 
-/// The profiler. Attach with Device::attach_profiler; one instance per
+/// The profiler. Attach with Device::attach_probe; one instance per
 /// Device. All span/edge callbacks for a PE arrive from that PE's own host
 /// thread; epoch folding happens at reset_clocks()'s single-threaded safe
 /// points (per-PE mutexes keep the handoff TSan-clean).
-class Profiler final : public tilesim::ProfileSink {
+class Profiler final : public tilesim::Probe {
  public:
   explicit Profiler(const tilesim::Device& device);
   ~Profiler() override;

@@ -1,28 +1,17 @@
 #include "sim/device.hpp"
 
+#include <algorithm>
 #include <exception>
 #include <mutex>
 #include <stdexcept>
 #include <thread>
 
-#include "sim/flight_hook.hpp"
-#include "sim/profile_hook.hpp"
-#include "sim/sync_observer.hpp"
+#include "sim/probe.hpp"
 
 namespace tilesim {
 
 namespace {
 thread_local Tile* g_current_tile = nullptr;
-}  // namespace
-
-namespace {
-// Records a charge interval against the device tracer when one is attached.
-void trace_charge(Device& device, int tile, TraceKind kind, ps_t begin,
-                  ps_t end) {
-  if (TraceRecorder* tracer = device.tracer(); tracer != nullptr) {
-    tracer->record(tile, kind, begin, end);
-  }
-}
 }  // namespace
 
 Tile::Tile(Device& device, int id)
@@ -33,19 +22,19 @@ Tile::Tile(Device& device, int id)
 void Tile::charge_int_ops(std::uint64_t n) {
   const ps_t t0 = clock_.now();
   clock_.advance(n * device_->config().compute.int_op_ps);
-  trace_charge(*device_, id_, TraceKind::kCompute, t0, clock_.now());
+  trace_interval(*device_, id_, TraceKind::kCompute, t0, clock_.now());
 }
 
 void Tile::charge_fp_ops(std::uint64_t n) {
   const ps_t t0 = clock_.now();
   clock_.advance(n * device_->config().compute.fp_op_ps);
-  trace_charge(*device_, id_, TraceKind::kCompute, t0, clock_.now());
+  trace_interval(*device_, id_, TraceKind::kCompute, t0, clock_.now());
 }
 
 void Tile::charge_mem_ops(std::uint64_t n) {
   const ps_t t0 = clock_.now();
   clock_.advance(n * device_->config().compute.mem_op_ps);
-  trace_charge(*device_, id_, TraceKind::kCompute, t0, clock_.now());
+  trace_interval(*device_, id_, TraceKind::kCompute, t0, clock_.now());
 }
 
 void Tile::charge_calls(std::uint64_t n) {
@@ -55,7 +44,7 @@ void Tile::charge_calls(std::uint64_t n) {
 void Tile::charge_copy(const CopyRequest& req) {
   const ps_t t0 = clock_.now();
   clock_.advance(device_->mem_model().copy_cost_ps(req));
-  trace_charge(*device_, id_, TraceKind::kCopy, t0, clock_.now());
+  trace_interval(*device_, id_, TraceKind::kCopy, t0, clock_.now());
   if (probe_) {
     std::scoped_lock lk(probe_mu_);
     std::uint64_t src = req.src_addr;
@@ -97,11 +86,29 @@ const Tile& Device::tile(int id) const {
 
 Tile* Device::current() noexcept { return g_current_tile; }
 
-void Device::attach_flight(FlightSink* flight) noexcept {
-  flight_ = flight;
-  // DMA engines carry no Device back-pointer (they predate the sink and are
-  // constructible standalone), so the attachment is fanned out to them.
-  for (auto& t : tiles_) t->dma().set_flight(flight);
+void Device::attach_probe(Probe* probe) {
+  auto& all = probes_[kAnyChannel];
+  const auto last = all.end() - 1;  // the terminator stays null
+  const auto free = std::find(all.begin(), last, nullptr);
+  if (probe == nullptr || free == last ||
+      std::find(all.begin(), free, probe) != free) {
+    throw std::invalid_argument(
+        "Device::attach_probe: null or already attached probe, or "
+        "kMaxProbes attached");
+  }
+  // Every channel list is a subset of the kAnyChannel list, so it has room.
+  for (std::size_t c = 0; c < probes_.size(); ++c) {
+    if (probe->consumes(static_cast<ProbeChannel>(c))) {
+      *std::find(probes_[c].begin(), probes_[c].end(), nullptr) = probe;
+    }
+  }
+}
+
+void Device::detach_probe(Probe* probe) noexcept {
+  for (auto& list : probes_) {
+    std::fill(std::remove(list.begin(), list.end(), probe), list.end(),
+              nullptr);
+  }
 }
 
 void Device::enable_cache_probes() {
@@ -113,14 +120,11 @@ void Device::enable_cache_probes() {
 }
 
 void Device::reset_clocks() {
-  // Epoch boundary for the profiler and flight recorder: reset_clocks() is
-  // only legal from single-threaded safe points, so the sinks may read every
-  // tile's final clock value here, before anything is zeroed.
-  if (profiler_ != nullptr) {
-    profiler_->on_clock_reset();  // tshmem-lint: allow(R005)
-  }
-  if (flight_ != nullptr) {
-    flight_->on_clock_reset();  // tshmem-lint: allow(R005, R006)
+  // Epoch boundary for the probes: reset_clocks() is only legal from
+  // single-threaded safe points, so a probe may read every tile's final
+  // clock value here, before anything is zeroed.
+  for (Probe* const* p = probes(kAnyChannel); *p != nullptr; ++p) {
+    (*p)->on_clock_reset();  // tshmem-lint: allow(R006) the attach point
   }
   // DMA engines first: an engine with in-flight transfers must fail the
   // reset *before* any clock is zeroed (stale future completion timestamps
@@ -139,20 +143,19 @@ void Device::host_sync() {
   }
   // A host rendezvous is a real synchronization of every active tile (it is
   // how benchmarks separate measurement phases), so it is reported to the
-  // sync observer (tshmem-check) as a rendezvous. The arrive callback runs
-  // before this thread arrives, and std::barrier opens only after every
-  // thread arrived, so all arrive callbacks complete before any release
-  // callback — the SyncObserver contract. Each tile participates in every
-  // host_sync of a run, so its own call count is a consistent generation.
-  SyncObserver* observer = sync_observer_;
+  // probes (tshmem-check) as a rendezvous. The arrive callback runs before
+  // this thread arrives, and std::barrier opens only after every thread
+  // arrived, so all arrive callbacks complete before any release callback
+  // — the Probe contract. Each tile participates in every host_sync of a
+  // run, so its own call count is a consistent generation.
   Tile* self = current();
-  if (observer != nullptr && self != nullptr) {
+  if (*probes(kRendezvousChannel) != nullptr && self != nullptr) {
     const std::uint64_t gen =
         host_sync_seq_[static_cast<std::size_t>(self->id())]++;
-    observer->on_rendezvous_arrive(host_barrier_.get(), gen, self->id());
+    rendezvous_arrive(*this, host_barrier_.get(), gen, self->id());
     host_barrier_->arrive_and_wait();
-    observer->on_rendezvous_release(host_barrier_.get(), gen, self->id(),
-                                    active_tiles_);
+    rendezvous_release(*this, host_barrier_.get(), gen, self->id(),
+                       active_tiles_);
     return;
   }
   host_barrier_->arrive_and_wait();

@@ -3,8 +3,10 @@
 // carries the modeled device time.
 #pragma once
 
+#include <array>
 #include <barrier>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -17,14 +19,22 @@
 #include "sim/fault.hpp"
 #include "sim/mem_model.hpp"
 #include "sim/topology.hpp"
-#include "sim/trace.hpp"
 
 namespace tilesim {
 
 class Device;
-class SyncObserver;  // sim/sync_observer.hpp
-class ProfileSink;   // sim/profile_hook.hpp
-class FlightSink;    // sim/flight_hook.hpp
+class Probe;  // sim/probe.hpp
+
+/// Callback families of a Probe (sim/probe.hpp). A probe names the ones it
+/// consumes, and the Device keeps one list per family, so each helper
+/// reaches only the probes that listen to it.
+enum ProbeChannel : std::uint8_t {
+  kSpanChannel,        ///< on_span_begin / on_span_end / on_wait_edge
+  kFlightChannel,      ///< on_flight_event
+  kIntervalChannel,    ///< on_interval
+  kRendezvousChannel,  ///< on_rendezvous_arrive / on_rendezvous_release
+  kAnyChannel,         ///< every attached probe (on_clock_reset)
+};
 
 /// One tile of the mesh. Owned by Device; bound 1:1 to a host thread for
 /// the duration of a Device::run() call.
@@ -124,12 +134,6 @@ class Device {
     return clock_generation_.load(std::memory_order_acquire);
   }
 
-  /// Attach (or detach with nullptr) a virtual-time tracer; compute/copy
-  /// charges on every tile are recorded while attached. The recorder must
-  /// outlive its attachment and cover tile_count() tiles.
-  void attach_tracer(TraceRecorder* tracer) noexcept { tracer_ = tracer; }
-  [[nodiscard]] TraceRecorder* tracer() const noexcept { return tracer_; }
-
   /// Creates one CacheSim per tile and streams every charged copy through
   /// it (metrics instrumentation: per-tile L1/L2/DDC/DRAM hit counts).
   /// Zero virtual-time cost; host-side cost only, so it is opt-in. Idempotent.
@@ -140,7 +144,7 @@ class Device {
 
   /// Attach (or detach with nullptr) a fault-injection engine. The engine
   /// must outlive its attachment. With no engine attached every hardened
-  /// layer takes its zero-cost fast path (same contract as the tracer).
+  /// layer takes its zero-cost fast path.
   void attach_fault(FaultEngine* fault) noexcept { fault_ = fault; }
   [[nodiscard]] FaultEngine* fault() const noexcept { return fault_; }
 
@@ -151,38 +155,25 @@ class Device {
     return watchdog_ && watchdog_->enabled() ? watchdog_ : nullptr;
   }
 
-  /// Attach (or detach with nullptr) a rendezvous-synchronization observer
-  /// (sim/sync_observer.hpp): the TMC spin/sync barriers report arrival
-  /// and release of every participant while attached. Same contract as
-  /// the tracer/fault engine: must outlive the attachment, never advances
-  /// virtual time, and the nullptr default keeps the fast path zero-cost.
-  void attach_sync_observer(SyncObserver* observer) noexcept {
-    sync_observer_ = observer;
-  }
-  [[nodiscard]] SyncObserver* sync_observer() const noexcept {
-    return sync_observer_;
-  }
+  /// Attach an instrumentation probe (sim/probe.hpp): the profiler, flight
+  /// recorder, tracer and race detector all observe the device this way.
+  /// Every attached probe receives every callback, in attach order, and
+  /// reset_clocks() notifies each of them once. A probe must outlive its
+  /// attachment and never advances virtual time. Attach and detach only
+  /// outside run(). Throws std::invalid_argument on a null or an already
+  /// attached probe, or when kMaxProbes are attached.
+  void attach_probe(Probe* probe);
+  /// Detaches `probe`; a probe that is not attached is ignored.
+  void detach_probe(Probe* probe) noexcept;
 
-  /// Attach (or detach with nullptr) the virtual-time profiler sink
-  /// (sim/profile_hook.hpp): span begin/end and wait-for edges are reported
-  /// while attached, and reset_clocks() notifies it at every epoch
-  /// boundary. Same contract as the tracer/fault engine: must outlive the
-  /// attachment, never advances virtual time, and the nullptr default keeps
-  /// the fast path zero-cost.
-  void attach_profiler(ProfileSink* profiler) noexcept {
-    profiler_ = profiler;
-  }
-  [[nodiscard]] ProfileSink* profiler() const noexcept { return profiler_; }
+  static constexpr std::size_t kMaxProbes = 8;
 
-  /// Attach (or detach with nullptr) the flight-recorder sink
-  /// (sim/flight_hook.hpp): instrumented operations report compact event
-  /// records while attached, and reset_clocks() notifies it at every epoch
-  /// boundary. Also plumbs the sink into each tile's DMA engine (which has
-  /// no Device back-pointer). Same contract as the tracer/fault engine:
-  /// must outlive the attachment, never advances virtual time, and the
-  /// nullptr default keeps the fast path zero-cost.
-  void attach_flight(FlightSink* flight) noexcept;
-  [[nodiscard]] FlightSink* flight() const noexcept { return flight_; }
+  /// The attached probes consuming `channel`, in attach order,
+  /// null-terminated: what the sim/probe.hpp helpers walk (one load and a
+  /// branch when none listens).
+  [[nodiscard]] Probe* const* probes(ProbeChannel channel) const noexcept {
+    return probes_[channel].data();
+  }
 
  private:
   const DeviceConfig* cfg_;
@@ -192,12 +183,9 @@ class Device {
   std::unique_ptr<std::barrier<>> host_barrier_;
   int active_tiles_ = 0;
   std::vector<std::uint64_t> host_sync_seq_;  // per-tile host_sync phase
-  TraceRecorder* tracer_ = nullptr;
   FaultEngine* fault_ = nullptr;
   const Watchdog* watchdog_ = nullptr;
-  SyncObserver* sync_observer_ = nullptr;
-  ProfileSink* profiler_ = nullptr;
-  FlightSink* flight_ = nullptr;
+  std::array<std::array<Probe*, kMaxProbes + 1>, kAnyChannel + 1> probes_{};
   bool cache_probes_ = false;
   std::atomic<std::uint64_t> clock_generation_{0};
 };

@@ -19,22 +19,22 @@
 
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace tilesim {
 
+/// guarded_wait without the flight-recorder bracket, for waits whose count
+/// depends on the host schedule: UdnFabric::recv_raw, whose tag-matching
+/// callers pull packets in host-arrival order and bracket the whole
+/// receive themselves.
 template <typename Pred>
-void guarded_wait(const Device& device, std::unique_lock<std::mutex>& lk,
-                  std::condition_variable& cv, int tile, const char* what,
-                  Pred pred) {
-  // Flight-recorder bracket: the clock cannot advance inside a cv wait, so
-  // begin and end carry the same virtual time — host-schedule independent.
-  const ps_t wait_vt = device.tile(tile).clock().now();
-  flight_event(device, tile, FlightKind::kWaitBegin, what, wait_vt);
+void guarded_wait_unbracketed(const Device& device,
+                              std::unique_lock<std::mutex>& lk,
+                              std::condition_variable& cv, int tile,
+                              const char* what, Pred pred) {
   const Watchdog* wd = device.watchdog();
   if (wd == nullptr) {
     cv.wait(lk, pred);
-    flight_event(device, tile, FlightKind::kWaitEnd, what, wait_vt);
     return;
   }
   while (!cv.wait_for(lk, wd->timeout, pred)) {
@@ -44,6 +44,17 @@ void guarded_wait(const Device& device, std::unique_lock<std::mutex>& lk,
     wd->on_timeout(tile, what);
     lk.lock();
   }
+}
+
+template <typename Pred>
+void guarded_wait(const Device& device, std::unique_lock<std::mutex>& lk,
+                  std::condition_variable& cv, int tile, const char* what,
+                  Pred pred) {
+  // Flight-recorder bracket: the clock cannot advance inside a cv wait, so
+  // begin and end carry the same virtual time — host-schedule independent.
+  const ps_t wait_vt = device.tile(tile).clock().now();
+  flight_event(device, tile, FlightKind::kWaitBegin, what, wait_vt);
+  guarded_wait_unbracketed(device, lk, cv, tile, what, pred);
   flight_event(device, tile, FlightKind::kWaitEnd, what, wait_vt);
 }
 

@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <vector>
 
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 #include "svc/cache.hpp"
 #include "util/error.hpp"
 

@@ -4,7 +4,7 @@
 #include <stdexcept>
 
 #include "sim/fault.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 
 namespace tmc {
 

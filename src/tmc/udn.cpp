@@ -4,9 +4,8 @@
 #include <string>
 
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
 #include "sim/guarded_wait.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 #include "sim/topology.hpp"
 #include "util/error.hpp"
 
@@ -249,12 +248,9 @@ UdnPacket UdnFabric::recv(Tile& receiver, int queue) {
                           "udn_recv", receiver.clock().now(), pkt.arrival_ps);
   receiver.clock().advance_to(pkt.arrival_ps);
   receiver.clock().advance(device_->config().udn_rx_overhead_ps);
-  if (tilesim::TraceRecorder* tracer = device_->tracer(); tracer != nullptr) {
-    tracer->record(receiver.id(), tilesim::TraceKind::kMessage, wait_begin,
-                   receiver.clock().now(),
-                   "udn q" + std::to_string(queue) + " from " +
-                       std::to_string(pkt.src_tile));
-  }
+  tilesim::trace_interval(*device_, receiver.id(),
+                          tilesim::TraceKind::kMessage, wait_begin,
+                          receiver.clock().now(), "udn", queue, pkt.src_tile);
   // recv_raw/try_recv are deliberately NOT reported: tag-matched consumers
   // (recv_ctrl) pull packets in host-arrival order before matching, so only
   // the clock-advancing receive here is program-order deterministic.
@@ -270,9 +266,13 @@ UdnPacket UdnFabric::recv_raw(Tile& receiver, int queue) {
   Queue& q = queue_at(receiver.id(), queue);
   UdnPacket pkt;
   {
+    // No wait bracket, for the reason recv() reports no kUdnRecv for raw
+    // pulls: how many pulls a tag-matched receive makes depends on host
+    // arrival order. The matching caller brackets its whole receive.
     std::unique_lock lk(q.mu);
-    guarded_wait(*device_, lk, q.cv_data, receiver.id(), "udn recv",
-                 [&] { return !q.packets.empty(); });
+    tilesim::guarded_wait_unbracketed(*device_, lk, q.cv_data, receiver.id(),
+                                      "udn recv",
+                                      [&] { return !q.packets.empty(); });
     pkt = std::move(q.packets.front());
     q.packets.pop_front();
     q.buffered_words -= pkt.payload.size();

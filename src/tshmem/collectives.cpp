@@ -7,7 +7,7 @@
 #include <cstring>
 #include <vector>
 
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 #include "tshmem/context.hpp"
 
 namespace tshmem {

@@ -5,9 +5,8 @@
 
 #include "obs/timeseries.hpp"
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
 #include "sim/mem_model.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 #include "tmc/barrier.hpp"
 #include "util/error.hpp"
 
@@ -523,6 +522,9 @@ void Context::transfer_nbi(void* target, const void* source,
       fault != nullptr ? fault->dma_stall(pe_, tile_->clock().now()) : 0;
   const tilesim::DmaDescriptor d = tile_->dma().issue(
       pe, is_put, bytes, tile_->clock().now(), cost, stall_ps);
+  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kDmaIssue,
+                        is_put ? "dma_put" : "dma_get", d.issue_ps, pe,
+                        bytes);
   // The host-side copy happens eagerly; virtual time defers delivery to the
   // descriptor's completion timestamp (the same host-eager/virtual-deferred
   // split every blocking path already relies on). The DMA engine bypasses
@@ -536,12 +538,9 @@ void Context::transfer_nbi(void* target, const void* source,
                         is_put ? "shmem_put_nbi" : "shmem_get_nbi",
                         d.start_ps, d.complete_ps);
   }
-  if (tilesim::TraceRecorder* tracer = tile_->device().tracer();
-      tracer != nullptr) {
-    tracer->record(pe_, tilesim::TraceKind::kCopy, d.start_ps, d.complete_ps,
-                   std::string("dma ") + (is_put ? "put" : "get") + " pe" +
-                       std::to_string(pe));
-  }
+  tilesim::trace_interval(tile_->device(), pe_, tilesim::TraceKind::kCopy,
+                          d.start_ps, d.complete_ps,
+                          is_put ? "dma put" : "dma get", -1, pe);
   if (met_) {
     met_->nbi_issued->inc();
     met_->nbi_bytes->add(bytes);
@@ -576,6 +575,10 @@ void Context::quiet() {
   if (dma.pending() != 0) {
     const ps_t before = tile_->clock().now();
     const tilesim::DmaEngine::DrainResult drained = dma.drain_all();
+    // `bytes` carries the retired-descriptor count for this kind.
+    tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kDmaDrain,
+                          "dma_drain", drained.max_complete_ps, -1,
+                          drained.retired);
     tile_->clock().advance_to(drained.max_complete_ps);
     // The engine is this PE's own DMA pseudo-actor, so the wait edge points
     // at ourselves: the bound is our earlier issue stream, not another PE.
@@ -644,6 +647,11 @@ CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
   // message stashed for later must not drag this PE's clock to its own
   // arrival time (virtual time would then depend on host scheduling).
   const tilesim::ps_t wait_begin = tile_->clock().now();
+  // One wait bracket per receive, from entry to the match: the raw pulls
+  // below record none, since how many a receive makes depends on host
+  // arrival order. A PE stuck here leaves the begin unclosed for triage.
+  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kWaitBegin,
+                        "ctrl recv", wait_begin);
   auto consume = [&](int src, tilesim::ps_t arrival) {
     if (race_ != nullptr) {
       // Join the clock snapshot of the *matched* message: the tag+FIFO
@@ -657,15 +665,13 @@ CtrlMsg Context::recv_ctrl(int queue, MsgTag tag, int src_pe,
     // records which PE's send bounded us.
     tilesim::prof_wait_edge(*tile_, src, tilesim::ProfPhase::kUdn, "ctrl",
                             wait_begin, arrival);
-    if (tilesim::TraceRecorder* tracer = tile_->device().tracer();
-        tracer != nullptr) {
-      tracer->record(pe_, tilesim::TraceKind::kMessage, wait_begin,
-                     tile_->clock().now(),
-                     "ctrl q" + std::to_string(queue) + " from " +
-                         std::to_string(src));
-    }
+    tilesim::trace_interval(tile_->device(), pe_, tilesim::TraceKind::kMessage,
+                            wait_begin, tile_->clock().now(), "ctrl", queue,
+                            src);
     // Recorded on *match*, not packet arrival: the tag+FIFO discipline makes
     // this edge protocol-determined even when arrivals race.
+    tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kWaitEnd,
+                          "ctrl recv", tile_->clock().now());
     tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kCtrlRecv,
                           "ctrl_recv", tile_->clock().now(), src);
   };

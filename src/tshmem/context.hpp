@@ -20,9 +20,8 @@
 #include "obs/metrics.hpp"
 #include "obs/scoped_timer.hpp"
 #include "sim/clock.hpp"
-#include "sim/flight_hook.hpp"
 #include "sim/guarded_wait.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 #include "tshmem/messages.hpp"
 #include "tshmem/runtime.hpp"
 #include "tshmem/symheap.hpp"

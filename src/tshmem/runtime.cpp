@@ -10,7 +10,7 @@
 #include <stdexcept>
 #include <string_view>
 
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 #include "tshmem/context.hpp"
 #include "util/error.hpp"
 
@@ -132,7 +132,7 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
   profile_enabled_ = bool_env("TSHMEM_PROFILE", opts.profile);
   if (profile_enabled_) {
     profiler_ = std::make_unique<obs::Profiler>(device_);
-    device_.attach_profiler(profiler_.get());
+    device_.attach_probe(profiler_.get());
   }
 
   // Flight recorder / time series (docs/OBSERVABILITY.md). A window width
@@ -155,7 +155,7 @@ Runtime::Runtime(const DeviceConfig& cfg, RuntimeOptions opts)
       timeseries_ = std::make_unique<obs::TimeSeries>(timeseries_window_ps_);
       flightrec_->set_tap(timeseries_.get());
     }
-    device_.attach_flight(flightrec_.get());
+    device_.attach_probe(flightrec_.get());
   }
 
   debug_validation_ = bool_env("TSHMEM_DEBUG", opts.debug_validation);
@@ -393,7 +393,7 @@ void Runtime::setup_job(int npes) {
       race_detector_->add_region(pe, /*is_static=*/true, private_base(pe),
                                  opts_.private_per_pe);
     }
-    device_.attach_sync_observer(race_detector_.get());
+    device_.attach_probe(race_detector_.get());
     for (auto& ctx : contexts_) {
       ctx->race_ = race_detector_.get();
     }
@@ -413,7 +413,7 @@ void Runtime::teardown_job() {
     race_reports_.insert(race_reports_.end(),
                          std::make_move_iterator(found.begin()),
                          std::make_move_iterator(found.end()));
-    device_.attach_sync_observer(nullptr);
+    device_.detach_probe(race_detector_.get());
     race_detector_.reset();
   }
   contexts_.clear();

@@ -17,7 +17,7 @@
 #include "obs/timeseries.hpp"
 #include "sim/device.hpp"
 #include "sim/fault.hpp"
-#include "sim/flight_hook.hpp"
+#include "sim/probe.hpp"
 #include "svc/service.hpp"
 #include "tshmem/cluster.hpp"
 #include "tshmem/context.hpp"
@@ -103,6 +103,42 @@ TEST(FlightRecorder, RingContentsDeterministicAcrossRuns) {
   EXPECT_EQ(a, b);
 }
 
+// Tag-matched control receives pull raw packets in host-arrival order, so
+// the wait brackets are recorded per receive (entry clock to match), never
+// per raw pull: rings and time-series windows of a pull broadcast, whose
+// PEs stash each other's early control messages, replay exactly.
+TEST(FlightRecorder, PullBroadcastRingAndWindowsDeterministicAcrossRuns) {
+  auto run_once = [] {
+    tshmem::RuntimeOptions opts;
+    opts.flightrec = true;
+    opts.flightrec_capacity = 1 << 14;
+    opts.timeseries_window_ps = 100'000;
+    tshmem::Runtime rt(tilesim::tile_gx36(), opts);
+    rt.run(4, [](Context& ctx) {
+      long* src = ctx.shmalloc_n<long>(512);
+      long* dst = ctx.shmalloc_n<long>(512);
+      for (int round = 0; round < 8; ++round) {
+        ctx.broadcast(dst, src, 512 * sizeof(long), round % ctx.num_pes(),
+                      ctx.world(), tshmem::BcastAlgo::kPull);
+      }
+      ctx.barrier_all();
+      ctx.shfree(dst);
+      ctx.shfree(src);
+    });
+    std::ostringstream os;
+    for (const FrEvent& e : rt.flightrec()->merged()) {
+      os << e.vt << " " << e.pe << " " << e.seq << " "
+         << tilesim::fr_kind_name(e.kind) << " " << e.site << " " << e.peer
+         << " " << e.bytes << "\n";
+    }
+    obs::write_timeseries_json(os, rt.timeseries()->report());
+    return os.str();
+  };
+  const std::string first = run_once();
+  ASSERT_NE(first.find("ctrl recv"), std::string::npos);
+  for (int i = 1; i < 10; ++i) EXPECT_EQ(run_once(), first) << "run " << i;
+}
+
 // ===========================================================================
 // Epoch folding (Device::reset_clocks boundaries)
 // ===========================================================================
@@ -110,7 +146,7 @@ TEST(FlightRecorder, RingContentsDeterministicAcrossRuns) {
 TEST(FlightRecorder, DeviceAttachedFoldsEpochAtClockReset) {
   tilesim::Device device(tilesim::tile_gx36());
   FlightRecorder fr(device, 16);
-  device.attach_flight(&fr);
+  device.attach_probe(&fr);
   device.tile(0).clock().advance(300);
   device.tile(1).clock().advance(750);  // epoch extent = max tile clock
   tilesim::flight_event(device, 0, FlightKind::kPut, "put", 300, 1, 8, 0);
@@ -123,7 +159,7 @@ TEST(FlightRecorder, DeviceAttachedFoldsEpochAtClockReset) {
   ASSERT_EQ(snap.size(), 2u);
   EXPECT_EQ(snap[0].vt, 300);
   EXPECT_EQ(snap[1].vt, 760);
-  device.attach_flight(nullptr);
+  device.detach_probe(&fr);
 }
 
 TEST(TimeSeries, EpochFoldOffsetsLaterObservations) {

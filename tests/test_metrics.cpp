@@ -262,7 +262,7 @@ TEST(Metrics, ChromeTracePerfettoSmoke) {
   // The exported document must be loadable by Perfetto/chrome://tracing:
   // an object with a "traceEvents" array of "X" complete events (us-domain
   // ts/dur, pid/tid ints) plus "M" process/thread metadata.
-  std::vector<tilesim::TraceEvent> events;
+  std::vector<obs::TraceEvent> events;
   events.push_back({0, tilesim::TraceKind::kCompute, 0, 2'000'000, "fft row"});
   events.push_back(
       {1, tilesim::TraceKind::kCopy, 500'000, 1'500'000, "put \"x\""});

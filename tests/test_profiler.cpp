@@ -17,7 +17,7 @@
 #include "obs/json.hpp"
 #include "obs/profiler.hpp"
 #include "sim/device.hpp"
-#include "sim/profile_hook.hpp"
+#include "sim/probe.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
 
@@ -47,7 +47,7 @@ const obs::ProfileSite* find_site(const ProfileReport& r,
 }
 
 // ===========================================================================
-// Span mechanics (profiler driven directly as a ProfileSink)
+// Span mechanics (profiler driven directly as a Probe)
 // ===========================================================================
 
 TEST(Profiler, SerialSpansAttributePhases) {

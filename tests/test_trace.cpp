@@ -1,22 +1,22 @@
-// Tests for the virtual-time tracer: recording, ordering, CSV output, the
-// RAII span helper, and the Device charge hooks.
+// Tests for the virtual-time tracer: recording, ordering, CSV output, label
+// rendering, and the Device charge, message and DMA intervals it receives
+// as a probe.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
+#include "obs/trace.hpp"
 #include "sim/device.hpp"
-#include "sim/trace.hpp"
 #include "tshmem/context.hpp"
 #include "tshmem/runtime.hpp"
 
 namespace {
 
+using obs::TraceEvent;
+using obs::TraceRecorder;
 using tilesim::Device;
 using tilesim::Tile;
-using tilesim::TraceEvent;
 using tilesim::TraceKind;
-using tilesim::TraceRecorder;
-using tilesim::TraceSpan;
 
 TEST(Trace, RecordAndSortedRetrieval) {
   TraceRecorder rec(4);
@@ -29,8 +29,6 @@ TEST(Trace, RecordAndSortedRetrieval) {
   EXPECT_EQ(events[1].tile, 1);           // tie on begin: lower tile first
   EXPECT_EQ(events[2].tile, 2);
   EXPECT_EQ(rec.event_count(), 3u);
-  rec.clear();
-  EXPECT_EQ(rec.event_count(), 0u);
 }
 
 TEST(Trace, Validation) {
@@ -52,14 +50,14 @@ TEST(Trace, CsvFormat) {
 
 TEST(Trace, CsvEscapingRfc4180) {
   // Plain fields pass through untouched.
-  EXPECT_EQ(tilesim::csv_escape("memcpy"), "memcpy");
-  EXPECT_EQ(tilesim::csv_escape(""), "");
+  EXPECT_EQ(obs::csv_escape("memcpy"), "memcpy");
+  EXPECT_EQ(obs::csv_escape(""), "");
   // Separators, quotes, and line breaks force quoting; embedded quotes
   // are doubled.
-  EXPECT_EQ(tilesim::csv_escape("a,b"), "\"a,b\"");
-  EXPECT_EQ(tilesim::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
-  EXPECT_EQ(tilesim::csv_escape("line1\nline2"), "\"line1\nline2\"");
-  EXPECT_EQ(tilesim::csv_escape("cr\rhere"), "\"cr\rhere\"");
+  EXPECT_EQ(obs::csv_escape("a,b"), "\"a,b\"");
+  EXPECT_EQ(obs::csv_escape("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(obs::csv_escape("line1\nline2"), "\"line1\nline2\"");
+  EXPECT_EQ(obs::csv_escape("cr\rhere"), "\"cr\rhere\"");
 
   TraceRecorder rec(1);
   rec.record(0, TraceKind::kCustom, 0, 5, "put, pe=1 \"bounce\"");
@@ -82,14 +80,14 @@ TEST(Trace, KindNames) {
 TEST(Trace, DeviceChargesAreRecordedWhileAttached) {
   Device device(tilesim::tile_gx36());
   TraceRecorder rec(device.tile_count());
-  device.attach_tracer(&rec);
+  device.attach_probe(&rec);
   device.run(2, [&](Tile& tile) {
     tile.charge_int_ops(100);
     tilesim::CopyRequest req;
     req.bytes = 4096;
     tile.charge_copy(req);
   });
-  device.attach_tracer(nullptr);
+  device.detach_probe(&rec);
   const auto events = rec.events();
   ASSERT_EQ(events.size(), 4u);  // 2 tiles x (compute + copy)
   int computes = 0, copies = 0;
@@ -105,36 +103,22 @@ TEST(Trace, DeviceChargesAreRecordedWhileAttached) {
   EXPECT_EQ(rec.event_count(), 4u);
 }
 
-TEST(Trace, SpanRecordsScopeWithClock) {
-  Device device(tilesim::tile_gx36());
-  TraceRecorder rec(device.tile_count());
-  device.run(1, [&](Tile& tile) {
-    tile.charge_int_ops(10);
-    {
-      TraceSpan span(&rec, tile.id(), tile.clock(), TraceKind::kCustom,
-                     "phase1");
-      tile.charge_int_ops(1000);
-    }
-  });
+TEST(Trace, IntervalLabelsAreRenderedBySite) {
+  TraceRecorder rec(1);
+  rec.on_interval(0, TraceKind::kCompute, 0, 1, nullptr, -1, -1);
+  rec.on_interval(0, TraceKind::kMessage, 1, 2, "udn", 3, 5);
+  rec.on_interval(0, TraceKind::kCopy, 2, 3, "dma put", -1, 2);
   const auto events = rec.events();
-  ASSERT_EQ(events.size(), 1u);
-  EXPECT_EQ(events[0].label, "phase1");
-  EXPECT_EQ(events[0].begin_ps, 10'000u);  // after the first charge
-  EXPECT_EQ(events[0].end_ps, 10'000u + 1'000'000u);
-}
-
-TEST(Trace, NullRecorderSpanIsNoop) {
-  Device device(tilesim::tile_gx36());
-  device.run(1, [&](Tile& tile) {
-    TraceSpan span(nullptr, 0, tile.clock(), TraceKind::kCustom, "ignored");
-    tile.charge_int_ops(1);
-  });
+  ASSERT_EQ(events.size(), 3u);
+  EXPECT_EQ(events[0].label, "");
+  EXPECT_EQ(events[1].label, "udn q3 from 5");
+  EXPECT_EQ(events[2].label, "dma put pe2");
 }
 
 TEST(Trace, TshmemJobProducesTimeline) {
   tshmem::Runtime rt(tilesim::tile_gx36());
   TraceRecorder rec(rt.device().tile_count());
-  rt.device().attach_tracer(&rec);
+  rt.device().attach_probe(&rec);
   rt.run(4, [](tshmem::Context& ctx) {
     int* buf = ctx.shmalloc_n<int>(1024);
     ctx.barrier_all();
@@ -142,7 +126,7 @@ TEST(Trace, TshmemJobProducesTimeline) {
     ctx.barrier_all();
     ctx.shfree(buf);
   });
-  rt.device().attach_tracer(nullptr);
+  rt.device().detach_probe(&rec);
   EXPECT_GE(rec.event_count(), 4u);  // at least each PE's put copy
   bool saw_copy = false;
   bool saw_message = false;  // barrier tokens ride the UDN
@@ -152,6 +136,32 @@ TEST(Trace, TshmemJobProducesTimeline) {
   }
   EXPECT_TRUE(saw_copy);
   EXPECT_TRUE(saw_message);
+}
+
+TEST(Trace, NbiTransferRecordsTheDmaInterval) {
+  tshmem::Runtime rt(tilesim::tile_gx36());
+  TraceRecorder rec(rt.device().tile_count());
+  rt.device().attach_probe(&rec);
+  rt.run(2, [](tshmem::Context& ctx) {
+    long* buf = ctx.shmalloc_n<long>(512);
+    ctx.barrier_all();
+    if (ctx.my_pe() == 0) {
+      ctx.put_nbi(buf, buf, 512 * sizeof(long), 1);
+      ctx.quiet();
+    }
+    ctx.barrier_all();
+    ctx.shfree(buf);
+  });
+  rt.device().detach_probe(&rec);
+  int dma = 0;
+  for (const TraceEvent& e : rec.events()) {
+    if (e.label != "dma put pe1") continue;
+    ++dma;
+    EXPECT_EQ(e.tile, 0);
+    EXPECT_EQ(e.kind, TraceKind::kCopy);
+    EXPECT_GT(e.end_ps, e.begin_ps);
+  }
+  EXPECT_EQ(dma, 1);
 }
 
 }  // namespace

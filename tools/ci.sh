@@ -5,7 +5,8 @@
 # schema shape and non-emptiness — and finally rebuild the concurrency-
 # sensitive suites (NBI/DMA engine, tmc + tshmem barriers, the runtime job
 # lifecycle, multi-device clusters, the serving subsystem and its shared
-# FeatureCache) under ThreadSanitizer and run them race-clean.
+# FeatureCache, the flight recorder's lock-free rings, the profiler and the
+# Device probe list) under ThreadSanitizer and run them race-clean.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -99,7 +100,7 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events")
 EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
-  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster, test_svc)"
+  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster, test_svc, test_flightrec, test_profiler, test_probe)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -107,7 +108,7 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_runtime \
-    test_cluster test_svc
+    test_cluster test_svc test_flightrec test_profiler test_probe
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -115,6 +116,9 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_runtime
   "$TSAN_DIR"/tests/test_cluster
   "$TSAN_DIR"/tests/test_svc
+  "$TSAN_DIR"/tests/test_flightrec
+  "$TSAN_DIR"/tests/test_profiler
+  "$TSAN_DIR"/tests/test_probe
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
@@ -173,6 +177,10 @@ if [ "${TSHMEM_CI_RACECHECK:-1}" != "0" ]; then
     # bit-identical in all three.
     args=""
     [ "$b" = ext_serve ] && args="--queries 50000 --images 256 --pes 2"
+    # fig11's full sweep under the detector passes 5 GB of resident memory
+    # (its shadow state); at 64 KiB it stays near 3 GB. All four runs use
+    # the same sweep so their stdout stays comparable.
+    [ "$b" = fig11_fcollect ] && args="--max-bytes 65536"
     "$BUILD_DIR"/bench/"$b" $args > "$tmp_dir/rc_off_$b.txt"
     if ! TSHMEM_RACECHECK=fail "$BUILD_DIR"/bench/"$b" $args \
         > "$tmp_dir/rc_on_$b.txt"; then

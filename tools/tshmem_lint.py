@@ -23,25 +23,18 @@ that generic tooling (clang-tidy, TSan) cannot express:
                             shmem_* call. Remote addresses must point into
                             the symmetric heap (shmalloc) or static arena.
   R005 raw-obs-mutation     Direct MetricsRegistry mutation (.counter() /
-                            .gauge() / .histogram()) or direct ProfileSink
-                            callback invocation (->on_span_begin() etc.)
-                            outside src/obs/ and sim/profile_hook.hpp.
+                            .gauge() / .histogram()) outside src/obs/.
                             Instrumentation must go through the obs helpers
-                            (obs::add_count, obs::counter_handle, ...,
-                            tilesim::ProfSpan, tilesim::prof_wait_edge) so
-                            every mutation site stays auditable and the
-                            profiler's never-advances-a-clock contract has
-                            a single enforcement surface.
-
-  R006 raw-flight-mutation  Direct flight-recorder / time-series mutation
-                            (.record_event() / .series_add() /
-                            .series_sample() / .fold_epoch() / .on_event())
-                            outside src/obs/ and sim/flight_hook.hpp.
-                            Instrumentation must go through obs::fr_record,
-                            obs::ts_add, obs::ts_sample, or
-                            tilesim::flight_event so the recorder's
-                            zero-virtual-cost contract (docs/OBSERVABILITY.md)
-                            has a single enforcement surface.
+                            (obs::add_count, obs::counter_handle, ...) so
+                            every mutation site stays auditable.
+  R006 raw-probe-call       Direct tilesim::Probe callback call
+                            (->on_span_begin() ...) or raw recorder /
+                            time-series mutation (.record_event() ...)
+                            outside src/obs/ and sim/probe.hpp. Use the
+                            sim/probe.hpp helpers or obs::fr_record /
+                            obs::ts_add / obs::ts_sample, so the probes'
+                            zero-virtual-cost contract has one enforcement
+                            surface.
 
 Suppress a finding with a trailing comment on the offending line:
     do_thing();  // tshmem-lint: allow(R003)
@@ -284,7 +277,7 @@ class FileScanner:
                     "from shmalloc() or the static arena",
                 )
 
-    # --- R005: raw metrics/profiler mutation outside the obs helpers ------
+    # --- R005: raw metrics mutation outside the obs helpers --------------
 
     # Registry mutators. Matched only on lines that look like registry use
     # (`reg.counter(...)`, `registry_->gauge(...)`); the obs:: helper names
@@ -292,15 +285,9 @@ class FileScanner:
     R005_METRICS_RE = re.compile(
         r"(\.|->)\s*(counter|gauge|histogram)\s*\("
     )
-    # Direct ProfileSink callback invocation; only the profiler plumbing
-    # (src/obs/, sim/profile_hook.hpp, sim/device.cpp's reset fan-out) may
-    # call these — everything else uses ProfSpan / prof_wait_edge.
-    R005_PROFILER_RE = re.compile(
-        r"(\.|->)\s*on_(span_begin|span_end|wait_edge|clock_reset)\s*\("
-    )
-    R005_EXEMPT = ("src/obs/", "sim/profile_hook.hpp", "tests/")
+    R005_EXEMPT = ("src/obs/", "tests/")
 
-    def rule_raw_obs_mutation(self) -> None:
+    def rule_raw_metrics_mutation(self) -> None:
         path = self.display.replace(os.sep, "/")
         if any(e in path for e in self.R005_EXEMPT):
             return
@@ -313,28 +300,22 @@ class FileScanner:
                     "obs::counter_handle, src/obs/metrics.hpp) so "
                     "instrumentation sites stay auditable",
                 )
-            if self.R005_PROFILER_RE.search(line):
-                self.report(
-                    "R005", i,
-                    "direct ProfileSink callback call; use tilesim::ProfSpan "
-                    "/ tilesim::prof_wait_edge (sim/profile_hook.hpp) so the "
-                    "profiler's no-clock-advance contract has one "
-                    "enforcement surface",
-                )
 
-    # --- R006: raw flight-recorder / time-series mutation ------------------
+    # --- R006: direct probe callback / raw recorder mutation --------------
 
-    # Ring/window mutators and the FlightSink callback. The sanctioned
-    # spellings (obs::fr_record, obs::ts_add, obs::ts_sample,
-    # tilesim::flight_event) are free functions and do not match.
+    # Probe callbacks plus the recorder and time-series mutators. The
+    # sanctioned spellings (tilesim::ProfSpan, tilesim::flight_event, ...,
+    # obs::fr_record, obs::ts_add, obs::ts_sample) are free functions or
+    # constructors and do not match.
     R006_RE = re.compile(
-        r"(\.|->)\s*(record_event|series_add_window|series_add"
-        r"|series_sample|fold_epoch|set_flush_hook"
-        r"|on_event)\s*\("
+        r"(\.|->)\s*(on_(span_begin|span_end|wait_edge|flight_event"
+        r"|interval|rendezvous_arrive|rendezvous_release|clock_reset)"
+        r"|record_event|series_add_window|series_add|series_sample"
+        r"|fold_epoch|set_flush_hook)\s*\("
     )
-    R006_EXEMPT = ("src/obs/", "sim/flight_hook.hpp", "tests/")
+    R006_EXEMPT = ("src/obs/", "sim/probe.hpp", "tests/")
 
-    def rule_raw_flight_mutation(self) -> None:
+    def rule_raw_probe_call(self) -> None:
         path = self.display.replace(os.sep, "/")
         if any(e in path for e in self.R006_EXEMPT):
             return
@@ -342,20 +323,20 @@ class FileScanner:
             if self.R006_RE.search(line):
                 self.report(
                     "R006", i,
-                    "direct flight-recorder/time-series mutation; use "
-                    "obs::fr_record / obs::ts_add / obs::ts_sample "
-                    "(src/obs/flightrec.hpp, src/obs/timeseries.hpp) or "
-                    "tilesim::flight_event (sim/flight_hook.hpp) so the "
-                    "recorder's zero-virtual-cost contract has one "
-                    "enforcement surface",
+                    "direct probe callback or recorder mutation; use the "
+                    "sim/probe.hpp helpers (tilesim::ProfSpan / "
+                    "prof_wait_edge / flight_event / trace_interval / "
+                    "rendezvous_arrive) or obs::fr_record / obs::ts_add / "
+                    "obs::ts_sample so the probes' zero-virtual-cost "
+                    "contract has one enforcement surface",
                 )
 
     def scan(self) -> list[Finding]:
         self.rule_guarded_wait()
         self.rule_nbi_quiet()
         self.rule_non_symmetric()
-        self.rule_raw_obs_mutation()
-        self.rule_raw_flight_mutation()
+        self.rule_raw_metrics_mutation()
+        self.rule_raw_probe_call()
         return self.findings
 
 
@@ -392,9 +373,26 @@ def self_test() -> int:
             "}\n",
             {"R006": 3},
         ),
-        # The obs implementation itself is exempt.
+        "src/tmc/r006_probe_case.cpp": (
+            "void p(tilesim::Device& d, tilesim::Tile& t) {\n"
+            "  d.probe()->on_span_begin(0, ph, \"s\", 1);\n"  # R006
+            "  d.probe()->on_flight_event(0, k, \"s\", 1);\n"  # R006
+            "  probe->on_interval(0, tk, 0, 1, nullptr, -1, -1);\n"  # R006
+            "  probe_->on_rendezvous_arrive(b, 0, 1);\n"     # R006
+            "  probe_->on_clock_reset();\n"                  # R006
+            "  tilesim::ProfSpan span(t, ph, \"s\");\n"      # sanctioned
+            "  tilesim::flight_event(d, 0, k, \"s\", 1);\n"  # sanctioned
+            "  tilesim::rendezvous_arrive(d, b, 0, 1);\n"    # sanctioned
+            "}\n",
+            {"R006": 5},
+        ),
+        # The obs implementation and the probe header are exempt.
         "src/obs/r006_exempt.cpp": (
             "void g(obs::TimeSeries* ts) { ts->series_add(\"n\", 1, 1); }\n",
+            {},
+        ),
+        "src/sim/probe.hpp": (
+            "void h(Probe* p) { p->on_span_end(0, 1); }\n",
             {},
         ),
         "src/tshmem/r005_case.cpp": (
