@@ -181,16 +181,18 @@ Fft2dResult fft2d_run(tshmem::Context& ctx, std::size_t n,
 
   // Phase 4: final transpose, serialized on PE 0 (paper: "Due to
   // computational serialization in the application's final transpose
-  // stage, speedup on TILE-Gx begins to level off around 5").
+  // stage, speedup on TILE-Gx begins to level off around 5"). Still
+  // element-wise in virtual time — one modeled remote read per element,
+  // in row-major order — but each (row, owner) strip is one strided iget:
+  // output row r, columns [q_r0, q_r1) are column r of owner q's block.
   Fft2dResult result;
   if (me == 0) {
     result.output.resize(n * n);
     for (std::size_t r = 0; r < n; ++r) {
-      for (std::size_t c = 0; c < n; ++c) {
-        const int owner = static_cast<int>(c / rows_pp);
-        const std::size_t local = c - static_cast<std::size_t>(owner) * rows_pp;
-        // Element-wise remote reads: the unparallelized gather loop.
-        result.output[r * n + c] = ctx.g(b + local * n + r, owner);
+      for (int q = 0; q < npes; ++q) {
+        const auto [q_r0, q_r1] = row_range(q);
+        ctx.iget(result.output.data() + r * n + q_r0, b + r, 1,
+                 static_cast<std::ptrdiff_t>(n), q_r1 - q_r0, q);
       }
     }
   }

@@ -5,7 +5,9 @@
 // 1D FFTs over the columns, and finishes with a serialized transpose that
 // gathers the result on PE 0 — the stage whose serialization caps TILE-Gx
 // speedup around 5 in Fig 13 (its parallelization is the paper's declared
-// future work).
+// future work). That gather stays element-wise in virtual time (one
+// modeled remote read per element); the host issues it as one strided
+// iget per (row, owner) strip.
 #pragma once
 
 #include <complex>

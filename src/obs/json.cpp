@@ -98,6 +98,26 @@ class JsonParser {
  private:
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< open arrays/objects around the current position
+
+  /// Counts one nesting level for the lifetime of a parse_array/object
+  /// frame; rejects input nested past JsonValue::kMaxDepth.
+  class Nest {
+   public:
+    explicit Nest(JsonParser& p) : p_(p) {
+      if (++p_.depth_ > JsonValue::kMaxDepth) {
+        --p_.depth_;
+        p_.fail("nesting deeper than " +
+                std::to_string(JsonValue::kMaxDepth) + " levels");
+      }
+    }
+    ~Nest() { --p_.depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    JsonParser& p_;
+  };
 
   [[noreturn]] void fail(const std::string& why) const {
     throw std::invalid_argument("JSON parse error at offset " +
@@ -161,6 +181,7 @@ class JsonParser {
   }
 
   JsonValue parse_object() {
+    const Nest nest(*this);
     expect('{');
     JsonValue v;
     v.type_ = JsonValue::Type::kObject;
@@ -186,6 +207,7 @@ class JsonParser {
   }
 
   JsonValue parse_array() {
+    const Nest nest(*this);
     expect('[');
     JsonValue v;
     v.type_ = JsonValue::Type::kArray;

@@ -41,8 +41,15 @@ class JsonValue {
   [[nodiscard]] std::size_t size() const;
 
   /// Parses a complete JSON document (trailing garbage is an error).
-  /// Throws std::invalid_argument with position info on malformed input.
+  /// Throws std::invalid_argument with position info on malformed input,
+  /// including arrays/objects nested deeper than kMaxDepth (the parser
+  /// recurses once per level, so unbounded nesting would exhaust the
+  /// stack).
   static JsonValue parse(std::string_view text);
+
+  /// Deepest array/object nesting parse() accepts; the exporters' own
+  /// documents nest at most a handful of levels.
+  static constexpr int kMaxDepth = 512;
 
  private:
   friend class JsonParser;

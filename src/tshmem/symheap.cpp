@@ -210,7 +210,11 @@ bool SymHeap::contains_range(const void* p, std::size_t bytes) const noexcept {
     if (b->free) continue;
     const auto* payload =
         reinterpret_cast<const std::byte*>(b) + sizeof(Block);
-    if (bp >= payload && bp + bytes <= payload + b->size) return true;
+    // Compared as sizes so a huge `bytes` cannot overflow the pointer.
+    if (bp >= payload && bp <= payload + b->size &&
+        bytes <= static_cast<std::size_t>(payload + b->size - bp)) {
+      return true;
+    }
   }
   return false;
 }

@@ -6,7 +6,11 @@
 # sensitive suites (NBI/DMA engine, tmc + tshmem barriers, the runtime job
 # lifecycle, multi-device clusters, the serving subsystem and its shared
 # FeatureCache, the flight recorder's lock-free rings, the profiler and the
-# Device probe list) under ThreadSanitizer and run them race-clean.
+# Device probe list, and the strided RMA engine's raw pointer arithmetic on
+# every PE thread: put/get and the FFT's strip gather) under
+# ThreadSanitizer and run them race-clean. The Address/UB-Sanitizer stage
+# covers the fault paths, the DMA engine, the serving teardown, the strided
+# engine and the JSON parser's adversarial suite.
 #
 # After the sanitizer stages, the fault-injection campaign (bench/ext_faults)
 # runs twice per seed over a fixed seed set and the outputs are diffed:
@@ -100,7 +104,7 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events")
 EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
-  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster, test_svc, test_flightrec, test_profiler, test_probe)"
+  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster, test_svc, test_flightrec, test_profiler, test_probe, test_putget, test_apps_fft)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -108,7 +112,8 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
     -DCMAKE_EXE_LINKER_FLAGS=-fsanitize=thread >/dev/null
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_runtime \
-    test_cluster test_svc test_flightrec test_profiler test_probe
+    test_cluster test_svc test_flightrec test_profiler test_probe \
+    test_putget test_apps_fft
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -119,19 +124,22 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_flightrec
   "$TSAN_DIR"/tests/test_profiler
   "$TSAN_DIR"/tests/test_probe
+  "$TSAN_DIR"/tests/test_putget
+  "$TSAN_DIR"/tests/test_apps_fft
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
 
 if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
-  echo "== asan+ubsan (test_fault_injection, test_failure_injection, test_nbi, test_svc)"
+  echo "== asan+ubsan (test_fault_injection, test_failure_injection, test_nbi, test_svc, test_putget, test_apps_fft, test_json)"
   ASAN_DIR="${BUILD_DIR}-asan"
   cmake -B "$ASAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
     -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" >/dev/null
   cmake --build "$ASAN_DIR" -j \
-    --target test_fault_injection test_failure_injection test_nbi test_svc
+    --target test_fault_injection test_failure_injection test_nbi test_svc \
+    test_putget test_apps_fft test_json
   # ASan/UBSan abort on the first finding, so a clean gtest pass means a
   # clean run (including the error/exception paths the fault tests force).
   "$ASAN_DIR"/tests/test_fault_injection
@@ -140,6 +148,11 @@ if [ "${TSHMEM_CI_ASAN:-1}" != "0" ]; then
   # test_svc tears down services that own a flight recorder and a time
   # series, where a wrong destruction order is a use-after-free.
   "$ASAN_DIR"/tests/test_svc
+  # The strided RMA engine's element addressing, and the JSON parser under
+  # truncated, mutated and deeply nested input.
+  "$ASAN_DIR"/tests/test_putget
+  "$ASAN_DIR"/tests/test_apps_fft
+  "$ASAN_DIR"/tests/test_json
 else
   echo "== asan+ubsan: skipped (TSHMEM_CI_ASAN=0)"
 fi
