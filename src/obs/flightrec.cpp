@@ -84,7 +84,7 @@ void FlightRecorder::flush_tap() {
 void FlightRecorder::on_flight_event(int tile, tilesim::FlightKind kind,
                                      const char* site, tilesim::ps_t vt,
                                      int peer, std::uint64_t bytes,
-                                     int errc) {
+                                     int errc, std::uint64_t /*aux*/) {
   record_event(tile, kind, site, vt, peer, bytes, errc);
 }
 
@@ -133,6 +133,10 @@ void FlightRecorder::record_event(int pe, tilesim::FlightKind kind,
     c.window = w;
     c.counts[static_cast<std::size_t>(kind)] += 1;
     c.dirty = true;
+    if (kind == tilesim::FlightKind::kBarrier) {  // `bytes`: its duration
+      static const std::string kBarrierSeries = "shmem.barrier.ps";
+      tap_->series_sample(kBarrierSeries, vt, bytes);
+    }
   }
 }
 

@@ -14,7 +14,7 @@
 // clock) into epoch_base_ps_, so stored vts form one monotone timeline per
 // run and cross-PE merges are meaningful. The fold is forwarded to the
 // optional TimeSeries tap, which also receives one "event.<kind>" count per
-// recorded event.
+// recorded event and one "shmem.barrier.ps" sample per barrier.
 //
 // Zero virtual cost: nothing here touches a SimClock; the recorder-on/off
 // bit-identity loop in tools/ci.sh enforces it. Mutation outside src/obs/
@@ -68,7 +68,7 @@ class FlightRecorder final : public tilesim::Probe {
   // tilesim::Probe
   void on_flight_event(int tile, tilesim::FlightKind kind, const char* site,
                        tilesim::ps_t vt, int peer, std::uint64_t bytes,
-                       int errc) override;
+                       int errc, std::uint64_t aux) override;
   void on_clock_reset() override;
 
   /// Raw mutator (lint rule R006): records one event with an epoch-local
@@ -78,8 +78,9 @@ class FlightRecorder final : public tilesim::Probe {
                     tilesim::ps_t vt, int peer, std::uint64_t bytes,
                     int errc);
 
-  /// Forward every recorded event as an "event.<kind>" count (and every
-  /// epoch fold) to `ts`. Counts are batched per (PE, kind, window) in the
+  /// Forward every recorded event as an "event.<kind>" count (a barrier's
+  /// duration also as a "shmem.barrier.ps" sample, and every epoch fold)
+  /// to `ts`. Counts are batched per (PE, kind, window) in the
   /// hot path and flushed as window aggregates when a PE's window
   /// advances, when the tap is detached, and — via the flush hook this
   /// registers on `ts` — at the top of every TimeSeries::report(), so

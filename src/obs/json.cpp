@@ -228,6 +228,19 @@ class JsonParser {
     }
   }
 
+  /// The four hex digits of a \u escape.
+  unsigned parse_hex4() {
+    if (pos_ + 4 > text_.size()) fail("bad \\u escape");
+    const char* digits = text_.data() + pos_;
+    unsigned cp = 0;
+    const auto [end, ec] = std::from_chars(digits, digits + 4, cp, 16);
+    if (ec != std::errc{} || end != digits + 4) {
+      fail("bad hex digit in \\u escape");
+    }
+    pos_ += 4;
+    return cp;
+  }
+
   std::string parse_string() {
     expect('"');
     std::string out;
@@ -251,27 +264,25 @@ class JsonParser {
         case 'r': out.push_back('\r'); break;
         case 't': out.push_back('\t'); break;
         case 'u': {
-          if (pos_ + 4 > text_.size()) fail("bad \\u escape");
-          unsigned cp = 0;
-          for (int i = 0; i < 4; ++i) {
-            const char h = text_[pos_++];
-            cp <<= 4;
-            if (h >= '0' && h <= '9') cp |= static_cast<unsigned>(h - '0');
-            else if (h >= 'a' && h <= 'f') cp |= static_cast<unsigned>(h - 'a' + 10);
-            else if (h >= 'A' && h <= 'F') cp |= static_cast<unsigned>(h - 'A' + 10);
-            else fail("bad hex digit in \\u escape");
+          unsigned cp = parse_hex4();
+          // A surrogate pair encodes one code point beyond the BMP; a lone
+          // or reversed half is not a character.
+          if (cp >= 0xDC00 && cp <= 0xDFFF) fail("lone low surrogate");
+          if (cp >= 0xD800 && cp <= 0xDBFF) {
+            if (text_.substr(pos_, 2) != "\\u") fail("lone high surrogate");
+            pos_ += 2;
+            const unsigned lo = parse_hex4();
+            if (lo < 0xDC00 || lo > 0xDFFF) fail("lone high surrogate");
+            cp = 0x10000 + ((cp - 0xD800) << 10) + (lo - 0xDC00);
           }
-          // UTF-8 encode the code point (surrogate pairs are passed through
-          // as separate code points — the exporters never emit them).
-          if (cp < 0x80) {
-            out.push_back(static_cast<char>(cp));
-          } else if (cp < 0x800) {
-            out.push_back(static_cast<char>(0xC0 | (cp >> 6)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
-          } else {
-            out.push_back(static_cast<char>(0xE0 | (cp >> 12)));
-            out.push_back(static_cast<char>(0x80 | ((cp >> 6) & 0x3F)));
-            out.push_back(static_cast<char>(0x80 | (cp & 0x3F)));
+          // UTF-8: a lead byte marking the length, then one 10xxxxxx byte
+          // per further 6 bits.
+          static constexpr unsigned kLead[] = {0x00, 0xC0, 0xE0, 0xF0};
+          const int tail =
+              cp < 0x80 ? 0 : cp < 0x800 ? 1 : cp < 0x10000 ? 2 : 3;
+          out.push_back(static_cast<char>(kLead[tail] | (cp >> (6 * tail))));
+          for (int i = tail - 1; i >= 0; --i) {
+            out.push_back(static_cast<char>(0x80 | ((cp >> (6 * i)) & 0x3F)));
           }
           break;
         }

@@ -248,10 +248,4 @@ inline void set_level(MetricsRegistry& reg, std::string_view name, int pe,
   reg.gauge(name, pe).set(v);
 }
 
-/// One-shot histogram sample for cold paths.
-inline void record_sample(MetricsRegistry& reg, std::string_view name, int pe,
-                          std::uint64_t sample) {
-  reg.histogram(name, pe).record(sample);
-}
-
 }  // namespace obs

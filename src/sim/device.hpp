@@ -138,9 +138,6 @@ class Device {
   /// it (metrics instrumentation: per-tile L1/L2/DDC/DRAM hit counts).
   /// Zero virtual-time cost; host-side cost only, so it is opt-in. Idempotent.
   void enable_cache_probes();
-  [[nodiscard]] bool cache_probes_enabled() const noexcept {
-    return cache_probes_;
-  }
 
   /// Attach (or detach with nullptr) a fault-injection engine. The engine
   /// must outlive its attachment. With no engine attached every hardened

@@ -1,15 +1,16 @@
 // The one instrumentation interface of a Device: every observer of virtual
-// time — the critical-path profiler, the flight recorder, the virtual-time
-// tracer and the tshmem-check race detector — is a Probe attached through
-// Device::attach_probe.
+// time — the per-PE shmem metrics, the critical-path profiler, the flight
+// recorder, the virtual-time tracer and the tshmem-check race detector — is
+// a Probe attached through Device::attach_probe.
 //
 // The interface lives in sim — the bottom layer — so tmc, tshmem and svc can
 // report without an upward dependency, while the implementations live
-// above: obs::Profiler (spans, wait edges), obs::FlightRecorder (flight
-// events), obs::TraceRecorder (intervals) and analysis::RaceDetector
-// (rendezvous). Every callback is a no-op by default; a sink overrides the
-// ones it consumes and names their channels (ProbeChannel, device.hpp), so
-// the helpers never call it for the others.
+// above: obs::ShmemMetrics (spans, flight events), obs::Profiler (spans,
+// wait edges), obs::FlightRecorder (flight events; its tap feeds the
+// windowed obs::TimeSeries), obs::TraceRecorder (intervals) and
+// analysis::RaceDetector (rendezvous). Every callback is a no-op by
+// default; a sink overrides the ones it consumes and names their channels
+// (ProbeChannel, device.hpp), so the helpers never call it for the others.
 //
 // Contract (CI-enforced for every sink): callbacks never advance a
 // SimClock, so every output is bit-identical with any probe on or off.
@@ -63,16 +64,16 @@ inline constexpr int kProfPhaseCount = 7;
 
 /// Compact taxonomy of a flight-recorder event: what a PE was doing.
 enum class FlightKind : std::uint8_t {
-  kPut = 0,       ///< blocking shmem_put family
-  kGet,           ///< blocking shmem_get family
+  kPut = 0,       ///< blocking shmem_put family (one per element)
+  kGet,           ///< blocking shmem_get family (one per element)
   kPutNbi,        ///< non-blocking put issue
   kGetNbi,        ///< non-blocking get issue
   kQuiet,         ///< shmem_quiet completion
   kFence,         ///< shmem_fence
-  kBarrier,       ///< shmem_barrier / barrier_all exit
-  kBroadcast,     ///< broadcast collective exit
-  kCollect,       ///< collect / fcollect exit
-  kReduce,        ///< reduction exit
+  kBarrier,       ///< shmem_barrier / barrier_all exit; bytes = duration
+  kBroadcast,     ///< broadcast entry, after the call overhead
+  kCollect,       ///< collect / fcollect entry, after the call overhead
+  kReduce,        ///< reduction entry, after the call overhead
   kAtomic,        ///< atomic memory operation
   kLock,          ///< set/clear/test lock completion
   kAlloc,         ///< shmalloc / shrealloc / shmemalign
@@ -84,7 +85,7 @@ enum class FlightKind : std::uint8_t {
   kUdnSend,       ///< UDN packet injected
   kUdnRecv,       ///< UDN packet consumed (clock-advancing receive)
   kDmaIssue,      ///< DMA descriptor posted
-  kDmaDrain,      ///< DMA queue drained (quiet)
+  kDmaDrain,      ///< DMA queue drained (quiet); bytes = retired count
   kFaultRetry,    ///< recovery retry (UDN backoff, cmem remap, ...)
   kError,         ///< structured tshmem::Error raised at this PE
   kSvcArrival,    ///< serving: query arrived
@@ -199,11 +200,13 @@ class Probe {
   /// Tile `tile` performed `kind` at site `site` (static string, stored by
   /// pointer) at virtual time `vt` (epoch-local). `peer` is the remote PE
   /// involved (-1 when none), `bytes` the payload size (or a kind-specific
-  /// count), `errc` a tshmem::Errc value (0 = ok).
+  /// count), `errc` a tshmem::Errc value (0 = ok). `aux`, which the flight
+  /// recorder does not keep, is 1 on a kPut/kGet/kAtomic that a UDN
+  /// interrupt services and the engine busy time on kDmaDrain, else 0.
   virtual void on_flight_event(int /*tile*/, FlightKind /*kind*/,
                                const char* /*site*/, ps_t /*vt*/,
                                int /*peer*/, std::uint64_t /*bytes*/,
-                               int /*errc*/) {}
+                               int /*errc*/, std::uint64_t /*aux*/) {}
 
   /// Tile `tile` spent [`begin`, `end`] in `kind`: a compute or copy
   /// charge, a message receive or a DMA transfer. An unlabelled interval
@@ -278,9 +281,10 @@ inline void prof_wait_edge(Tile& tile, int src_tile, ProfPhase fallback,
 /// Records a flight event. The site string must be static.
 inline void flight_event(const Device& device, int tile, FlightKind kind,
                          const char* site, ps_t vt, int peer = -1,
-                         std::uint64_t bytes = 0, int errc = 0) {
+                         std::uint64_t bytes = 0, int errc = 0,
+                         std::uint64_t aux = 0) {
   for_each_probe(device, kFlightChannel, [&](Probe& p) {
-    p.on_flight_event(tile, kind, site, vt, peer, bytes, errc);
+    p.on_flight_event(tile, kind, site, vt, peer, bytes, errc, aux);
   });
 }
 

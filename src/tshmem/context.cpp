@@ -5,7 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "obs/timeseries.hpp"
 #include "sim/fault.hpp"
 #include "sim/mem_model.hpp"
 #include "sim/probe.hpp"
@@ -28,42 +27,7 @@ Context::Context(Runtime& rt, int pe, Tile& tile, std::byte* partition,
       private_base_(private_arena),
       private_bytes_(private_bytes),
       heap_(partition, partition_bytes),
-      barrier_algo_(rt.barrier_algo()) {
-  if (rt.metrics_enabled()) {
-    obs::MetricsRegistry& reg = rt.metrics_registry();
-    met_ = std::make_unique<PeMetrics>(PeMetrics{
-        obs::counter_handle(reg, "shmem.put.calls", pe),
-        obs::counter_handle(reg, "shmem.put.bytes", pe),
-        obs::histogram_handle(reg, "shmem.put.latency_ps", pe),
-        obs::counter_handle(reg, "shmem.get.calls", pe),
-        obs::counter_handle(reg, "shmem.get.bytes", pe),
-        obs::histogram_handle(reg, "shmem.get.latency_ps", pe),
-        obs::counter_handle(reg, "shmem.barrier.calls", pe),
-        obs::histogram_handle(reg, "shmem.barrier.wait_ps", pe),
-        obs::counter_handle(reg, "shmem.broadcast.calls", pe),
-        obs::counter_handle(reg, "shmem.broadcast.bytes", pe),
-        obs::counter_handle(reg, "shmem.collect.calls", pe),
-        obs::counter_handle(reg, "shmem.collect.bytes", pe),
-        obs::counter_handle(reg, "shmem.reduce.calls", pe),
-        obs::counter_handle(reg, "shmem.reduce.bytes", pe),
-        obs::histogram_handle(reg, "shmem.collective.wait_ps", pe),
-        obs::counter_handle(reg, "shmem.atomic.calls", pe),
-        obs::counter_handle(reg, "shmem.lock.ops", pe),
-        obs::counter_handle(reg, "shmem.wait.calls", pe),
-        obs::histogram_handle(reg, "shmem.wait.latency_ps", pe),
-        obs::counter_handle(reg, "shmem.heap.alloc.calls", pe),
-        obs::counter_handle(reg, "shmem.heap.free.calls", pe),
-        obs::counter_handle(reg, "shmem.interrupt.services", pe),
-        obs::counter_handle(reg, "shmem.nbi.issued", pe),
-        obs::counter_handle(reg, "shmem.nbi.retired", pe),
-        obs::counter_handle(reg, "shmem.nbi.bytes", pe),
-        obs::gauge_handle(reg, "shmem.nbi.queue_depth", pe),
-        obs::histogram_handle(reg, "shmem.nbi.quiet_wait_ps", pe),
-        obs::histogram_handle(reg, "shmem.nbi.overlap_pct", pe),
-        obs::counter_handle(reg, "recovery.nbi.sync_fallbacks", pe),
-    });
-  }
-}
+      barrier_algo_(rt.barrier_algo()) {}
 
 // ===========================================================================
 // Address classification & translation (paper §IV-B)
@@ -128,7 +92,6 @@ void* Context::shmalloc(std::size_t bytes) {
   // All PEs call with the same size at the same point, keeping the heaps
   // implicitly symmetric; the implicit barrier enforces the rendezvous.
   rt_->note_op(pe_, "shmalloc");
-  if (met_) met_->alloc_calls->inc();
   tile_->charge_calls(1);
   if (rt_->options().validate_symmetry) {
     rt_->check_symmetric_arg(pe_, bytes, "shmalloc(size)");
@@ -155,7 +118,6 @@ void Context::note_heap_denial(const void* p, std::size_t bytes) {
 
 void Context::shfree(void* p) {
   rt_->note_op(pe_, "shfree");
-  if (met_) met_->free_calls->inc();
   tile_->charge_calls(1);
   if (rt_->options().validate_symmetry) {
     const std::uint64_t offset =
@@ -185,21 +147,25 @@ void Context::shfree(void* p) {
 }
 
 void* Context::shrealloc(void* p, std::size_t bytes) {
-  if (met_) met_->alloc_calls->inc();
+  rt_->note_op(pe_, "shrealloc");
   tile_->charge_calls(1);
   if (race_ != nullptr && p != nullptr) {
     race_->on_heap_free(p, heap_.allocation_size(p));
   }
   void* out = heap_.realloc(p, bytes);
+  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kAlloc,
+                        "shrealloc", tile_->clock().now(), -1, bytes);
   barrier_all();
   return out;
 }
 
 void* Context::shmemalign(std::size_t alignment, std::size_t bytes) {
-  if (met_) met_->alloc_calls->inc();
+  rt_->note_op(pe_, "shmemalign");
   tile_->charge_calls(1);
   void* p = heap_.memalign(alignment, bytes);
   note_heap_denial(p, bytes);
+  tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kAlloc,
+                        "shmemalign", tile_->clock().now(), -1, bytes);
   barrier_all();
   return p;
 }
@@ -313,15 +279,6 @@ std::pair<const void*, std::size_t> strided_extent(const void* base,
 
 }  // namespace
 
-bool Context::transfer_observed() const noexcept {
-  // Metrics (counters, latency histograms, cache probe) plus every attached
-  // Device probe: the profiler, flight recorder, tracer and race detector
-  // are all probes, so a new probe-backed sink is covered without a change
-  // here.
-  return met_ != nullptr || tile_->cache_probe() != nullptr ||
-         *tile_->device().probes(tilesim::kAnyChannel) != nullptr;
-}
-
 void Context::transfer(void* target, const void* source, std::size_t elem,
                        std::size_t nelems, std::ptrdiff_t target_stride,
                        std::ptrdiff_t source_stride, int pe, bool is_put,
@@ -414,22 +371,17 @@ void Context::transfer_element(const ResolvedTransfer& r, void* target,
   const std::size_t bytes = r.req.bytes;
   const bool is_put = r.is_put;
   const int pe = r.pe;
-  obs::ScopedVtTimer vt_metric(
-      tile_->clock(),
-      met_ ? (is_put ? met_->put_latency_ps : met_->get_latency_ps)
-           : nullptr);
   tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kDma, r.site);
-  if (met_) {
-    (is_put ? met_->put_calls : met_->get_calls)->inc();
-    (is_put ? met_->put_bytes : met_->get_bytes)->add(bytes);
-  }
   tile_->clock().advance(rt_->config().shmem_call_overhead_ps);
   // One event per element at issue time, regardless of which servicing
-  // path (local copy / interrupt / bounce) the transfer takes below.
+  // path (local copy / interrupt / bounce) the transfer takes below; `aux`
+  // flags the static remote side a UDN interrupt services.
   tilesim::flight_event(tile_->device(), pe_,
                         is_put ? tilesim::FlightKind::kPut
                                : tilesim::FlightKind::kGet,
-                        r.site, tile_->clock().now(), pe, bytes);
+                        r.site, tile_->clock().now(), pe, bytes, 0,
+                        !r.direct && r.remote_cls == AddrClass::kStatic &&
+                            bytes != 0);
   if (bytes == 0) return;
 
   if (r.remote_cls == AddrClass::kOther) {
@@ -477,7 +429,6 @@ void Context::transfer_element(const ResolvedTransfer& r, void* target,
     // One side is dynamic: the interrupted remote tile services the request
     // with a single copy (static-dynamic put / dynamic-static get paths;
     // "minor performance degradation").
-    if (met_) met_->interrupt_services->inc();
     rt_->interrupts().raise(*tile_, pe, [&](Tile& remote_tile) {
       CopyRequest req;
       req.bytes = bytes;
@@ -507,7 +458,6 @@ void Context::transfer_element(const ResolvedTransfer& r, void* target,
     // Local: private source -> shared bounce; remote: bounce -> its static.
     charge_local_copy(bytes, MemSpace::kShared, MemSpace::kPrivate, r.hints);
     std::memcpy(bounce, source, bytes);
-    if (met_) met_->interrupt_services->inc();
     rt_->interrupts().raise(*tile_, pe, [&](Tile& remote_tile) {
       CopyRequest req;
       req.bytes = bytes;
@@ -520,7 +470,6 @@ void Context::transfer_element(const ResolvedTransfer& r, void* target,
     rt_->note_delivery(pe, tile_->clock().now());
   } else {
     // Remote: its static source -> shared bounce; local: bounce -> target.
-    if (met_) met_->interrupt_services->inc();
     rt_->interrupts().raise(*tile_, pe, [&](Tile& remote_tile) {
       CopyRequest req;
       req.bytes = bytes;
@@ -588,7 +537,6 @@ void Context::transfer_nbi(void* target, const void* source,
       fault->dma_desc_fails(pe_, tile_->clock().now())) {
     // Injected descriptor-post failure: degrade gracefully to a blocking
     // transfer (a valid NBI implementation) instead of losing the data.
-    if (met_) met_->nbi_sync_fallbacks->inc();
     transfer(target, source, bytes, 1, 0, 0, pe, is_put, {});
     return;
   }
@@ -629,12 +577,6 @@ void Context::transfer_nbi(void* target, const void* source,
   tilesim::trace_interval(tile_->device(), pe_, tilesim::TraceKind::kCopy,
                           d.start_ps, d.complete_ps,
                           is_put ? "dma put" : "dma get", -1, pe);
-  if (met_) {
-    met_->nbi_issued->inc();
-    met_->nbi_bytes->add(bytes);
-    met_->nbi_queue_depth->set(
-        static_cast<std::int64_t>(tile_->dma().pending()));
-  }
   tilesim::flight_event(tile_->device(), pe_,
                         is_put ? tilesim::FlightKind::kPutNbi
                                : tilesim::FlightKind::kGetNbi,
@@ -663,30 +605,16 @@ void Context::quiet() {
   if (dma.pending() != 0) {
     const ps_t before = tile_->clock().now();
     const tilesim::DmaEngine::DrainResult drained = dma.drain_all();
-    // `bytes` carries the retired-descriptor count for this kind.
+    // `bytes` carries the retired-descriptor count, `aux` their engine busy
+    // time.
     tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kDmaDrain,
                           "dma_drain", drained.max_complete_ps, -1,
-                          drained.retired);
+                          drained.retired, 0, drained.busy_ps);
     tile_->clock().advance_to(drained.max_complete_ps);
     // The engine is this PE's own DMA pseudo-actor, so the wait edge points
     // at ourselves: the bound is our earlier issue stream, not another PE.
     tilesim::prof_wait_edge(*tile_, pe_, tilesim::ProfPhase::kDma,
                             "dma_drain", before, drained.max_complete_ps);
-    if (met_) {
-      met_->nbi_retired->add(drained.retired);
-      met_->nbi_queue_depth->set(0);
-      const ps_t wait = drained.max_complete_ps > before
-                            ? drained.max_complete_ps - before
-                            : 0;
-      met_->nbi_quiet_wait_ps->record(wait);
-      if (drained.busy_ps > 0) {
-        // How much of the engine's transfer time was hidden behind
-        // computation since issue (100 = fully overlapped).
-        const ps_t hidden =
-            drained.busy_ps > wait ? drained.busy_ps - wait : 0;
-        met_->nbi_overlap_pct->record(100 * hidden / drained.busy_ps);
-      }
-    }
   }
   // tmc_mem_fence(): blocks until all memory stores are visible. With an
   // empty DMA queue this is the whole operation — the pre-NBI behavior,
@@ -810,11 +738,6 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
   if (!as.contains(pe_)) {
     throw std::invalid_argument("barrier: calling PE not in active set");
   }
-  // Wait time = virtual time across the whole barrier (arrival skew plus
-  // the algorithm's release latency).
-  obs::ScopedVtTimer vt_metric(tile_->clock(),
-                               met_ ? met_->barrier_wait_ps : nullptr,
-                               met_ ? met_->barrier_calls : nullptr);
   tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kBarrier,
                          "shmem_barrier");
   const ps_t bar_begin = tile_->clock().now();
@@ -834,13 +757,12 @@ void Context::barrier(const ActiveSet& as, BarrierAlgo algo) {
         break;
     }
   }
-  // bytes carries the barrier's virtual duration (arrival skew + release).
+  // bytes carries the barrier's virtual duration (arrival skew + release):
+  // the metrics' wait histogram and the time series' shmem.barrier.ps.
   const ps_t bar_end = tile_->clock().now();
   tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kBarrier,
                         "shmem_barrier", bar_end, -1,
                         static_cast<std::uint64_t>(bar_end - bar_begin));
-  obs::ts_sample(ts_, "shmem.barrier.ps", bar_end,
-                 static_cast<std::uint64_t>(bar_end - bar_begin));
 }
 
 void Context::barrier_linear(const ActiveSet& as, std::uint32_t seq) {
@@ -954,7 +876,6 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
   if (cls == AddrClass::kOther) {
     throw std::invalid_argument("atomic: target is not a symmetric object");
   }
-  if (met_) met_->atomic_calls->inc();
   tilesim::ProfSpan prof(*tile_, tilesim::ProfPhase::kLock, site);
   charge_atomic(pe);
   if (race_ != nullptr) {
@@ -963,9 +884,10 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
     race_->on_atomic(pe_, remote_addr(target, pe), bytes, site,
                      tile_->clock().now());
   }
+  const bool direct = cls == AddrClass::kDynamic || pe == pe_;
   tilesim::flight_event(tile_->device(), pe_, tilesim::FlightKind::kAtomic,
-                        site, tile_->clock().now(), pe, bytes);
-  if (cls == AddrClass::kDynamic || pe == pe_) {
+                        site, tile_->clock().now(), pe, bytes, 0, !direct);
+  if (direct) {
     if (pe != pe_) rt_->note_delivery(pe, tile_->clock().now());  // see put
     op(remote_addr(target, pe));
     return;
@@ -974,7 +896,6 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
   // delivery time is known only after the interrupt round trip, so it is
   // recorded after the store (see docs/ROBUSTNESS.md on wait_until).
   void* addr = remote_addr(target, pe);
-  if (met_) met_->interrupt_services->inc();
   rt_->interrupts().raise(*tile_, pe, [&](Tile& remote) {
     remote.clock().advance(rt_->config().cycle_ps() * 8);
     op(addr);
@@ -989,7 +910,6 @@ void Context::atomic_engine(void* target, int pe, std::size_t bytes,
 
 void Context::set_lock(long* lock) {
   rt_->note_op(pe_, "shmem_set_lock");
-  if (met_) met_->lock_ops->inc();
   // Each failed CAS is a full attempt (it advances virtual time via the
   // atomic cost model); the guarded spin bounds the retry loop with the
   // watchdog like every other blocking wait in the tree.
@@ -1018,7 +938,6 @@ void Context::set_lock(long* lock) {
 
 void Context::clear_lock(long* lock) {
   rt_->note_op(pe_, "shmem_clear_lock");
-  if (met_) met_->lock_ops->inc();
   quiet();  // spec: releases after outstanding stores complete
   atomic_engine(lock, 0, sizeof(long), "shmem_clear_lock", [&](void* addr) {
     std::atomic_ref<long> ref(*static_cast<long*>(addr));
@@ -1034,7 +953,6 @@ void Context::clear_lock(long* lock) {
 }
 
 int Context::test_lock(long* lock) {
-  if (met_) met_->lock_ops->inc();
   long prev = 0;
   atomic_engine(lock, 0, sizeof(long), "shmem_test_lock", [&](void* addr) {
     std::atomic_ref<long> ref(*static_cast<long*>(addr));

@@ -5,20 +5,15 @@
 #pragma once
 
 #include <atomic>
-#include <chrono>
 #include <cstddef>
 #include <cstring>
 #include <functional>
 #include <map>
-#include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <type_traits>
 #include <vector>
 
-#include "obs/metrics.hpp"
-#include "obs/scoped_timer.hpp"
 #include "sim/clock.hpp"
 #include "sim/guarded_wait.hpp"
 #include "sim/probe.hpp"
@@ -41,43 +36,6 @@ enum class AddrClass : std::uint8_t {
 struct CopyHints {
   int readers = 1;  ///< concurrent streams reading the (shared) source
   int writers = 1;  ///< concurrent streams writing the (shared) target
-};
-
-/// Per-PE metric handles, resolved once at Context construction when the
-/// runtime has metrics enabled (RuntimeOptions::metrics / TSHMEM_METRICS).
-/// Every pointer targets a registry-owned instrument; updates are relaxed
-/// atomics and never advance virtual time. See docs/OBSERVABILITY.md for
-/// the full metric catalogue.
-struct PeMetrics {
-  obs::Counter* put_calls;
-  obs::Counter* put_bytes;
-  obs::Log2Histogram* put_latency_ps;
-  obs::Counter* get_calls;
-  obs::Counter* get_bytes;
-  obs::Log2Histogram* get_latency_ps;
-  obs::Counter* barrier_calls;
-  obs::Log2Histogram* barrier_wait_ps;
-  obs::Counter* broadcast_calls;
-  obs::Counter* broadcast_bytes;
-  obs::Counter* collect_calls;
-  obs::Counter* collect_bytes;
-  obs::Counter* reduce_calls;
-  obs::Counter* reduce_bytes;
-  obs::Log2Histogram* collective_wait_ps;
-  obs::Counter* atomic_calls;
-  obs::Counter* lock_ops;
-  obs::Counter* wait_calls;
-  obs::Log2Histogram* wait_ps;
-  obs::Counter* alloc_calls;
-  obs::Counter* free_calls;
-  obs::Counter* interrupt_services;
-  obs::Counter* nbi_issued;
-  obs::Counter* nbi_retired;
-  obs::Counter* nbi_bytes;
-  obs::Gauge* nbi_queue_depth;
-  obs::Log2Histogram* nbi_quiet_wait_ps;
-  obs::Log2Histogram* nbi_overlap_pct;
-  obs::Counter* nbi_sync_fallbacks;  ///< recovery.nbi.sync_fallbacks
 };
 
 class Context {
@@ -330,9 +288,7 @@ class Context {
   SymHeap heap_;
   BarrierAlgo barrier_algo_;
   bool finalized_ = false;
-  std::unique_ptr<PeMetrics> met_;  ///< null when metrics are disabled
   analysis::RaceDetector* race_ = nullptr;  ///< tshmem-check (set by Runtime)
-  obs::TimeSeries* ts_ = nullptr;  ///< windowed telemetry (set by Runtime)
 
   std::map<std::uint32_t, std::uint32_t> barrier_seq_;   // active-set id -> seq
   std::map<std::uint32_t, std::uint32_t> collective_seq_;
@@ -350,9 +306,9 @@ class Context {
   /// Once per call: PE check, debug validation of the whole strided
   /// extent, address classification and translation, the copy cost and
   /// the check for attached sinks. Per element: call overhead + copy cost
-  /// on the clock, and — when any sink (metrics, cache probe, any Device
-  /// probe) is attached, the remote side needs an interrupt or it is not
-  /// symmetric — the full per-call event sequence of a single put/get.
+  /// on the clock, and — when any Device probe is attached, the remote
+  /// side needs an interrupt or it is not symmetric — the full per-call
+  /// event sequence of a single put/get.
   /// With no sink on a directly addressable symmetric target the clock
   /// advances once by the sum and the elements move in one strided loop.
   void transfer(void* target, const void* source, std::size_t elem,
@@ -375,9 +331,11 @@ class Context {
   /// when it is not symmetric).
   void transfer_element(const ResolvedTransfer& r, void* target,
                         const void* source, void* remote);
-  /// True when any sink observes blocking transfers on this PE: metrics
-  /// (with its cache probe) or any attached Device probe.
-  [[nodiscard]] bool transfer_observed() const noexcept;
+  /// True when any sink observes blocking transfers on this PE: every sink
+  /// is a Device probe (cache probes only run beside the metrics one).
+  [[nodiscard]] bool transfer_observed() const noexcept {
+    return *tile_->device().probes(tilesim::kAnyChannel) != nullptr;
+  }
   void transfer_nbi(void* target, const void* source, std::size_t bytes,
                     int pe, bool is_put);
   /// TSHMEM_DEBUG validation (docs/ROBUSTNESS.md): invalid PE, non-symmetric
@@ -435,8 +393,6 @@ template <typename T>
 void Context::wait_until(volatile T* ivar, Cmp cmp, T value) {
   static_assert(std::is_trivially_copyable_v<T>);
   rt_->note_op(pe_, "shmem_wait_until");
-  obs::ScopedVtTimer vt_metric(clock(), met_ ? met_->wait_ps : nullptr,
-                               met_ ? met_->wait_calls : nullptr);
   tilesim::ProfSpan prof_span(*tile_, tilesim::ProfPhase::kWait,
                               "shmem_wait_until");
   // Point-to-point sync: poll the symmetric variable. Remote elemental puts

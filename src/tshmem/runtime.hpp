@@ -23,6 +23,7 @@
 #include "obs/flightrec.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "obs/shmem_metrics.hpp"
 #include "obs/timeseries.hpp"
 #include "sim/device.hpp"
 #include "tmc/barrier.hpp"
@@ -82,11 +83,12 @@ struct RuntimeOptions {
   /// can stay on during benchmarking without perturbing results.
   bool validate_symmetry = false;
   /// Enable the metrics/telemetry subsystem (src/obs): per-PE counters,
-  /// gauges, and virtual-time histograms, scraped from every layer at the
-  /// end of each run(). Purely observational — instrumentation never
-  /// advances a SimClock, so virtual-time results are bit-identical with
-  /// metrics on or off. The TSHMEM_METRICS environment variable overrides
-  /// this field ("0"/"false"/"off" disable, any other value enables).
+  /// gauges, and virtual-time histograms, from the obs::ShmemMetrics probe
+  /// and an end-of-run scrape of the other layers. Purely observational —
+  /// instrumentation never advances a SimClock, so virtual-time results
+  /// are bit-identical with metrics on or off. The TSHMEM_METRICS
+  /// environment variable overrides this field ("0"/"false"/"off"
+  /// disable, any other value enables).
   bool metrics = false;
   /// Enable the virtual-time critical-path profiler (src/obs/profiler;
   /// docs/PROFILING.md): per-PE span stacks, wait-for edges, and a
@@ -258,12 +260,7 @@ class Runtime {
 
   // --- metrics (src/obs) ---------------------------------------------------
   [[nodiscard]] bool metrics_enabled() const noexcept {
-    return metrics_enabled_;
-  }
-  /// Registry the instrumentation records into. Live even when metrics are
-  /// disabled (it just stays empty); hot paths gate on metrics_enabled().
-  [[nodiscard]] obs::MetricsRegistry& metrics_registry() noexcept {
-    return registry_;
+    return shmem_metrics_ != nullptr;
   }
   /// Snapshot of everything recorded so far, annotated with the device
   /// short name and the PE count of the most recent job. Valid after
@@ -272,7 +269,7 @@ class Runtime {
 
   // --- profiling (src/obs/profiler; docs/PROFILING.md) ---------------------
   [[nodiscard]] bool profile_enabled() const noexcept {
-    return profile_enabled_;
+    return profiler_ != nullptr;
   }
   /// Critical-path profiler attached to this runtime's device; nullptr
   /// unless the profile option / TSHMEM_PROFILE enabled it. Call its
@@ -280,9 +277,6 @@ class Runtime {
   [[nodiscard]] obs::Profiler* profiler() noexcept { return profiler_.get(); }
 
   // --- flight recorder / time series (src/obs; docs/OBSERVABILITY.md) ------
-  [[nodiscard]] bool flightrec_enabled() const noexcept {
-    return flightrec_enabled_;
-  }
   /// Flight recorder attached to this runtime's device; nullptr unless the
   /// flightrec option / TSHMEM_FLIGHTREC (or an implying option) enabled it.
   [[nodiscard]] obs::FlightRecorder* flightrec() noexcept {
@@ -350,15 +344,12 @@ class Runtime {
   std::map<std::uint64_t, std::unique_ptr<tmc::SpinBarrier>> spin_barriers_;
 
   // --- metrics state -------------------------------------------------------
-  bool metrics_enabled_ = false;
-  bool profile_enabled_ = false;
-  bool flightrec_enabled_ = false;
-  ps_t timeseries_window_ps_ = 0;
   std::string blackbox_path_;
   std::unique_ptr<obs::Profiler> profiler_;  // null unless profiling enabled
   std::unique_ptr<obs::TimeSeries> timeseries_;    // null unless windowed
   std::unique_ptr<obs::FlightRecorder> flightrec_; // null unless recording
   obs::MetricsRegistry registry_;
+  std::unique_ptr<obs::ShmemMetrics> shmem_metrics_;  // null unless metrics
   int last_npes_ = 0;
   // Scrape baselines: the sim/tmc layers keep cumulative internal stats;
   // each end-of-run scrape adds only the delta since the previous scrape so

@@ -240,7 +240,8 @@ TEST(TimeSeries, JsonReportHasSchemaAndReconcilesCounts) {
 }
 
 // The recorder tap: every recorded event lands in the aggregator as an
-// "event.<kind>" count, and epoch folds are forwarded.
+// "event.<kind>" count, a barrier's duration (its `bytes`) as a
+// "shmem.barrier.ps" sample, and epoch folds are forwarded.
 TEST(TimeSeries, RecorderTapCountsEvents) {
   TimeSeries ts(100);
   FlightRecorder fr(2, 8);
@@ -248,13 +249,22 @@ TEST(TimeSeries, RecorderTapCountsEvents) {
   fr.record_event(0, FlightKind::kPut, "put", 10, 1, 8, 0);
   fr.record_event(1, FlightKind::kPut, "put", 110, 0, 8, 0);
   fr.record_event(0, FlightKind::kBarrier, "bar", 120, -1, 0, 0);
+  fr.record_event(1, FlightKind::kBarrier, "bar", 130, -1, 40, 0);
   const TimeSeriesReport rep = ts.report();
-  ASSERT_EQ(rep.series.size(), 2u);
+  ASSERT_EQ(rep.series.size(), 3u);
   EXPECT_EQ(rep.series[0].name, "event.barrier");
-  EXPECT_EQ(rep.series[0].total_count, 1u);
+  EXPECT_EQ(rep.series[0].total_count, 2u);
   EXPECT_EQ(rep.series[1].name, "event.put");
   EXPECT_EQ(rep.series[1].total_count, 2u);
   ASSERT_EQ(rep.series[1].windows.size(), 2u);
+  EXPECT_EQ(rep.series[2].name, "shmem.barrier.ps");
+  ASSERT_EQ(rep.series[2].windows.size(), 1u);
+  const obs::SeriesWindow& w = rep.series[2].windows[0];
+  EXPECT_EQ(w.index, 1u);
+  EXPECT_EQ(w.count, 2u);
+  EXPECT_EQ(w.sum, 40u);
+  EXPECT_EQ(w.min, 0u);
+  EXPECT_EQ(w.max, 40u);
 }
 
 // ===========================================================================

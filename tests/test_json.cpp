@@ -89,14 +89,26 @@ TEST(JsonAdversarial, BadEscapesAndSurrogates) {
     SCOPED_TRACE(bad);
     EXPECT_EQ(parse_or_reject(bad), Outcome::kRejected);
   }
-  // Surrogates are passed through as separate code points: a pair, a lone
-  // high or low half, and a reversed pair all parse.
-  for (const char* odd :
-       {R"("😀")", R"("\ud800")", R"("\udfff")",
-        R"("\udc00\ud800")", R"("\u0000")", R"("￿")"}) {
-    SCOPED_TRACE(odd);
-    EXPECT_EQ(parse_or_reject(odd), Outcome::kParsed);
+  // A surrogate half only encodes a character as the first half of a
+  // pair: a lone high or low half, a reversed pair, or a high half followed
+  // by anything but a low half is rejected.
+  for (const char* lone :
+       {R"("\ud800")", R"("\udfff")", R"("\udc00\ud800")", R"("\ud83dx")",
+        R"("\ud83d\u0041")", R"("\ud83d\")"}) {
+    SCOPED_TRACE(lone);
+    EXPECT_EQ(parse_or_reject(lone), Outcome::kRejected);
   }
+  for (const char* ok :
+       {"\"\xf0\x9f\x98\x80\"", R"("\u0000")", "\"\xef\xbf\xbf\"",
+        R"("\uffff")", R"("\ud83d\ude00")"}) {
+    SCOPED_TRACE(ok);
+    EXPECT_EQ(parse_or_reject(ok), Outcome::kParsed);
+  }
+  // A pair decodes to one 4-byte UTF-8 character.
+  EXPECT_EQ(JsonValue::parse(R"("\ud83d\ude00")").as_string(),
+            "\xf0\x9f\x98\x80");
+  EXPECT_EQ(JsonValue::parse(R"("a\udbff\udfffb")").as_string(),
+            "a\xf4\x8f\xbf\xbf" "b");
   EXPECT_EQ(JsonValue::parse(R"("é")").as_string(), "\xc3\xa9");
 }
 

@@ -117,7 +117,7 @@ class CountingProbe final : public Probe {
   }
   void on_span_end(int, tilesim::ps_t) override { ++calls; }
   void on_flight_event(int, FlightKind, const char*, tilesim::ps_t, int,
-                       std::uint64_t, int) override {
+                       std::uint64_t, int, std::uint64_t) override {
     ++calls;
     ++flights;
   }

@@ -7,7 +7,8 @@
 # lifecycle, multi-device clusters, the serving subsystem and its shared
 # FeatureCache, the flight recorder's lock-free rings, the profiler and the
 # Device probe list, and the strided RMA engine's raw pointer arithmetic on
-# every PE thread: put/get and the FFT's strip gather) under
+# every PE thread: put/get and the FFT's strip gather, and the per-PE
+# state of the shmem metrics sink) under
 # ThreadSanitizer and run them race-clean. The Address/UB-Sanitizer stage
 # covers the fault paths, the DMA engine, the serving teardown, the strided
 # engine and the JSON parser's adversarial suite.
@@ -31,6 +32,7 @@
 # TSHMEM_FLIGHTREC=1 + TSHMEM_TIMESERIES_WINDOW_PS and requires
 # bit-identical stdout again: the flight recorder and windowed time series
 # share the profiler's zero-virtual-cost contract (docs/OBSERVABILITY.md).
+# A last TSHMEM_METRICS=1 leg holds the metrics sink to the same contract.
 #
 # The serving smoke stage (docs/SERVING.md): a shortened ramped ext_serve
 # run must sustain non-zero QPS with nothing hung, and a shard-stall fault
@@ -104,7 +106,7 @@ print(f"telemetry OK: {len(m['runs'])} run(s), {len(events)} trace events")
 EOF
 
 if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
-  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster, test_svc, test_flightrec, test_profiler, test_probe, test_putget, test_apps_fft)"
+  echo "== tsan (test_nbi, test_tmc_barrier, test_barrier_sync, test_runtime, test_cluster, test_svc, test_flightrec, test_profiler, test_probe, test_putget, test_apps_fft, test_metrics)"
   TSAN_DIR="${BUILD_DIR}-tsan"
   cmake -B "$TSAN_DIR" -S . \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -113,7 +115,7 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   cmake --build "$TSAN_DIR" -j \
     --target test_nbi test_tmc_barrier test_barrier_sync test_runtime \
     test_cluster test_svc test_flightrec test_profiler test_probe \
-    test_putget test_apps_fft
+    test_putget test_apps_fft test_metrics
   # TSan exits non-zero (66) on any reported race even when gtest passes.
   "$TSAN_DIR"/tests/test_nbi
   "$TSAN_DIR"/tests/test_tmc_barrier
@@ -126,6 +128,7 @@ if [ "${TSHMEM_CI_TSAN:-1}" != "0" ]; then
   "$TSAN_DIR"/tests/test_probe
   "$TSAN_DIR"/tests/test_putget
   "$TSAN_DIR"/tests/test_apps_fft
+  "$TSAN_DIR"/tests/test_metrics
 else
   echo "== tsan: skipped (TSHMEM_CI_TSAN=0)"
 fi
@@ -238,6 +241,22 @@ if [ "${TSHMEM_CI_RACECHECK:-1}" != "0" ]; then
       echo "   $b: recorder-on bit-identical"
     else
       echo "   $b: OUTPUT MOVED UNDER FLIGHT RECORDER"
+      racecheck_ok=0
+    fi
+    # Metrics identity: the shmem metrics sink and the end-of-run scrape
+    # observe virtual time but must never advance it, so metrics-on stdout
+    # must be bit-identical as well.
+    if ! TSHMEM_METRICS=1 "$BUILD_DIR"/bench/"$b" $args \
+        > "$tmp_dir/met_on_$b.txt"; then
+      echo "   $b: FAILED UNDER METRICS"
+      racecheck_ok=0
+      continue
+    fi
+    if diff -u "$tmp_dir/rc_off_$b.txt" "$tmp_dir/met_on_$b.txt" >/dev/null
+    then
+      echo "   $b: metrics-on bit-identical"
+    else
+      echo "   $b: OUTPUT MOVED UNDER METRICS"
       racecheck_ok=0
     fi
   done

@@ -296,7 +296,7 @@ class FileScanner:
                 self.report(
                     "R005", i,
                     "direct MetricsRegistry mutation; use the obs:: helpers "
-                    "(obs::add_count / obs::set_level / obs::record_sample / "
+                    "(obs::add_count / obs::set_level / "
                     "obs::counter_handle, src/obs/metrics.hpp) so "
                     "instrumentation sites stay auditable",
                 )
